@@ -7,7 +7,7 @@ evaluation covers network reconstruction and link prediction.
 
 __version__ = "0.1.0"
 
-from .corpus import SampleCorpus, SamplerConfig, build_corpus, sample_negatives
+from .corpus import SampleCorpus, SamplerConfig, build_corpus
 from .evaluation import (
     auc,
     link_prediction_eval,
@@ -37,7 +37,6 @@ __all__ = [
     "neighbors_by_type",
     "reconstruct",
     "region_stats",
-    "sample_negatives",
     "self_guided_walk",
     "train",
     "transition_distribution",

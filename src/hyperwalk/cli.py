@@ -1,10 +1,11 @@
 """Command-line front-end: train / reconstruct / linkpred / sweep / project.
 
-All randomness flows from one --seed through named substreams, so
-single-threaded runs with identical flags are byte-identical. Every run
-writes a manifest.json with the fully resolved configuration. Any flag
-default can be overridden with an environment variable prefixed
-``HYPERWALK_`` (e.g. HYPERWALK_SEED=7).
+All randomness flows from one --seed through named substreams, so runs
+with identical flags are byte-identical. Every run writes a manifest.json
+with the fully resolved configuration. Any flag default can be overridden
+with an environment variable prefixed ``HYPERWALK_`` (e.g. HYPERWALK_SEED=7).
+
+A runtime failure prints ``error: <ExceptionType>: <message>`` to stderr.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -47,7 +48,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", required=True, help="edge TSV: src<TAB>dst[<TAB>edge_label]")
     p.add_argument("--out", default=_env("out", str, "out"), help="output directory")
     p.add_argument("--seed", type=int, default=_env("seed", int, 0))
-    p.add_argument("--threads", type=int, default=_env("threads", int, 1))
 
 
 def _add_pipeline(p: argparse.ArgumentParser) -> None:
@@ -75,7 +75,7 @@ def _write_manifest(args, command: str) -> None:
         "command": command,
         "config": resolved,
         "version": __version__,
-        "deterministic": int(getattr(args, "threads", 1)) <= 1 or command != "train",
+        "deterministic": True,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -83,7 +83,7 @@ def _write_manifest(args, command: str) -> None:
 
 def _pipeline_configs(args):
     wcfg = WalkConfig(walks_per_node=args.walks, walk_length=args.walk_length, seed=args.seed)
-    scfg = SamplerConfig(window=args.window, negatives_per_positive=args.negatives)
+    scfg = SamplerConfig(window=args.window)
     tcfg = TrainConfig(
         lr=args.lr,
         batch_size=args.batch,
@@ -94,20 +94,13 @@ def _pipeline_configs(args):
     return wcfg, scfg, tcfg
 
 
-def _train_table(g, args, dim, wcfg, scfg, tcfg):
-    walks = generate_walks(g, wcfg, threads=args.threads)
-    corpus = build_corpus(walks, scfg.window, g.n_nodes)
-    table, history = train(g, corpus, tcfg, dim)
-    return walks, table, history
-
-
 def cmd_train(args) -> int:
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, "train")
     wcfg, scfg, tcfg = _pipeline_configs(args)
-    walks = generate_walks(g, wcfg, threads=args.threads)
+    walks = generate_walks(g, wcfg)
     if args.dump_walks:
         dump_walks(walks, g, args.dump_walks)
     corpus = build_corpus(walks, scfg.window, g.n_nodes)
@@ -162,7 +155,7 @@ def cmd_linkpred(args) -> int:
         print(f"warning: {split.warning}", file=sys.stderr)
     wcfg, scfg, tcfg = _pipeline_configs(args)
     tg = split.train_graph
-    walks = generate_walks(tg, wcfg, threads=args.threads)
+    walks = generate_walks(tg, wcfg)
     corpus = build_corpus(walks, scfg.window, tg.n_nodes)
     reports = []
     dims = _dims(args)
@@ -204,7 +197,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         setattr(args, attr, value)
         wcfg, scfg, tcfg = _pipeline_configs(args)
-        walks = generate_walks(tg, wcfg, threads=args.threads)
+        walks = generate_walks(tg, wcfg)
         corpus = build_corpus(walks, scfg.window, tg.n_nodes)
         table, _ = train(tg, corpus, tcfg, args.dim)
         report = link_prediction_eval(split, table)
@@ -317,7 +310,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # pragma: no cover - defensive catch-all
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Positive-pair corpus and frequency-based negative sampling.
+"""Positive-pair corpus and the frequency table for noise negatives.
 
 A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
@@ -9,15 +9,10 @@ to a node's occurrence frequency in the pair multiset raised to
 ``trainer.NOISE_EXPONENT`` (0.75, word2vec's smoothed unigram noise,
 Mikolov et al. 2013). Nothing is rejected, so a negative may be one of the
 anchor's positives or the anchor itself.
-
-``sample_negatives`` and ``sample_negatives_batch`` are exclusion samplers
-that reject every node positively paired with the anchor; ``train`` does not
-use them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +21,10 @@ import numpy as np
 @dataclass
 class SamplerConfig:
     window: int = 5
-    negatives_per_positive: int = 20
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1")
 
 
 class AliasTable:
@@ -72,58 +64,15 @@ class SampleCorpus:
         self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         self.n_nodes = int(n_nodes)
         self.node_freq = np.bincount(self.pairs.ravel(), minlength=self.n_nodes)
-        self._pos_codes = np.unique(self.pairs[:, 0] * self.n_nodes + self.pairs[:, 1])
-        # dense pair-membership bitmap when affordable; rejection sampling is
-        # then O(1) per draw instead of a binary search
-        if self.n_nodes <= 8192:
-            self._pos_dense = np.zeros(self.n_nodes * self.n_nodes, dtype=bool)
-            self._pos_dense[self._pos_codes] = True
-        else:
-            self._pos_dense = None
         self._alias: dict[float, AliasTable] = {}
-        self._restricted: dict[tuple[int, float], tuple[np.ndarray, AliasTable]] = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def contains(self, u: int, w: int) -> bool:
-        return bool(self._is_positive(np.asarray([u * self.n_nodes + w]))[0])
-
-    def positives_of(self, u: int) -> np.ndarray:
-        lo = np.searchsorted(self._pos_codes, u * self.n_nodes)
-        hi = np.searchsorted(self._pos_codes, (u + 1) * self.n_nodes)
-        return self._pos_codes[lo:hi] - u * self.n_nodes
-
-    def _is_positive(self, codes: np.ndarray) -> np.ndarray:
-        if self._pos_codes.size == 0:
-            return np.zeros(np.shape(codes), dtype=bool)
-        if self._pos_dense is not None:
-            return self._pos_dense[codes]
-        i = np.searchsorted(self._pos_codes, codes)
-        i = np.minimum(i, self._pos_codes.size - 1)
-        return self._pos_codes[i] == codes
 
     def alias_table(self, exponent: float = 1.0) -> AliasTable:
         if exponent not in self._alias:
             self._alias[exponent] = AliasTable(self.node_freq.astype(np.float64) ** exponent)
         return self._alias[exponent]
-
-    def _restricted_sampler(self, u: int, exponent: float):
-        """Alias table over exactly the admissible negatives of anchor u.
-
-        Same distribution as rejection against the positive set, without the
-        rejection loop; cached per anchor, so only worth it on small graphs.
-        """
-        key = (u, exponent)
-        hit = self._restricted.get(key)
-        if hit is None:
-            allowed = np.flatnonzero(self.node_freq > 0)
-            allowed = allowed[~self._is_positive(u * self.n_nodes + allowed)]
-            if allowed.size == 0:
-                raise ValueError(f"node {u} has no admissible negatives")
-            hit = (allowed, AliasTable(self.node_freq[allowed].astype(np.float64) ** exponent))
-            self._restricted[key] = hit
-        return hit
 
 
 def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
@@ -145,72 +94,3 @@ def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
     if not us:
         return SampleCorpus(np.empty((0, 2), dtype=np.int64), n_nodes)
     return SampleCorpus(np.stack([np.concatenate(us), np.concatenate(vs)], axis=1), n_nodes)
-
-
-def sample_negatives(c: SampleCorpus, u: int, k: int, rng, exponent: float = 1.0) -> np.ndarray:
-    """k i.i.d. frequency-proportional draws w with (u, w) not a positive pair.
-
-    Exclusion sampler; training draws plain noise instead and does not call
-    it. Rejection-based; gives up after 100*k consecutive rejections and
-    returns the accepted prefix with a warning (the sample is then short).
-    """
-    if len(c) == 0:
-        raise ValueError("corpus is empty")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    table = c.alias_table(exponent)
-    out: list[int] = []
-    consecutive = 0
-    while len(out) < k:
-        w = table.sample(rng)
-        if c.contains(u, w):
-            consecutive += 1
-            if consecutive >= 100 * k:
-                warnings.warn(f"short negative sample for node {u}: {len(out)}/{k}")
-                break
-        else:
-            out.append(w)
-            consecutive = 0
-    return np.asarray(out, dtype=np.int64)
-
-
-def sample_negatives_batch(
-    c: SampleCorpus, us: np.ndarray, k: int, rng, exponent: float = 1.0, max_rounds: int = 200
-) -> np.ndarray:
-    """Vectorized negatives: one (len(us), k) block of admissible draws.
-
-    Exclusion sampler like ``sample_negatives``; training does not use it.
-    Small graphs use exact per-anchor restricted alias tables; larger ones
-    fall back to rejection in rounds.
-    """
-    us = np.asarray(us, dtype=np.int64)
-    if c.n_nodes <= 1536:
-        out = np.empty((us.size, k), dtype=np.int64)
-        order = np.argsort(us, kind="stable")
-        sorted_us = us[order]
-        starts = np.flatnonzero(np.r_[True, sorted_us[1:] != sorted_us[:-1]])
-        ends = np.r_[starts[1:], sorted_us.size]
-        for s, e in zip(starts, ends):
-            allowed, table = c._restricted_sampler(int(sorted_us[s]), exponent)
-            draws = table.sample(rng, size=(e - s) * k)
-            out[order[s:e]] = allowed[draws].reshape(e - s, k)
-        return out
-    table = c.alias_table(exponent)
-    flat = table.sample(rng, size=us.size * k).astype(np.int64)
-    base = np.repeat(us * c.n_nodes, k)
-    bad = np.flatnonzero(c._is_positive(base + flat))
-    rounds = 0
-    while bad.size and rounds < max_rounds:
-        draws = table.sample(rng, size=bad.size).astype(np.int64)
-        flat[bad] = draws
-        bad = bad[c._is_positive(base[bad] + draws)]
-        rounds += 1
-    if bad.size:
-        # pathological anchors: fill from an explicit scan of allowed nodes
-        for j in bad:
-            u = int(us[j // k])
-            allowed = np.setdiff1d(np.flatnonzero(c.node_freq > 0), c.positives_of(u))
-            if allowed.size == 0:
-                raise ValueError(f"node {u} has no admissible negatives")
-            flat[j] = allowed[rng.integers(allowed.size)]
-    return flat.reshape(us.size, k)

@@ -7,10 +7,11 @@ AUC uses the Mann-Whitney rank statistic with half credit for ties.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import rankdata
 
 from . import lorentz
@@ -82,12 +83,7 @@ def _sample_non_edges(g: TypedGraph, et: EdgeType, k: int, rng) -> np.ndarray:
         m = max(k - filled, 64)
         us = A[rng.integers(A.size, size=m)]
         vs = B[rng.integers(B.size, size=m)]
-        codes = np.minimum(us, vs) * g.n_nodes + np.maximum(us, vs)
-        edge_codes = g._edge_codes
-        i = np.searchsorted(edge_codes, codes)
-        i = np.minimum(i, max(edge_codes.size - 1, 0))
-        is_edge = (edge_codes[i] == codes) if edge_codes.size else np.zeros(m, bool)
-        ok = (~is_edge) & (us != vs)
+        ok = ~g.has_edges(us, vs) & (us != vs)
         take = min(int(ok.sum()), k - filled)
         sel = np.flatnonzero(ok)[:take]
         out[filled : filled + take, 0] = us[sel]
@@ -107,8 +103,7 @@ def _all_non_edges(g: TypedGraph, et: EdgeType) -> np.ndarray:
     if ta == tb:
         keep = us < vs
         us, vs = us[keep], vs[keep]
-    codes = np.minimum(us, vs) * g.n_nodes + np.maximum(us, vs)
-    is_edge = np.isin(codes, g._edge_codes)
+    is_edge = g.has_edges(us, vs)
     return np.stack([us[~is_edge], vs[~is_edge]], axis=1)
 
 
@@ -151,19 +146,40 @@ def reconstruct(
     )
 
 
-def _still_connected(adj: list[set], u: int, v: int) -> bool:
-    # BFS from u with early exit at v
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y == v:
-                return True
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False
+def _removable(g: TypedGraph, et: EdgeType, edges_t: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Mask over ``order``: True where greedy deletion in that order removes the edge.
+
+    Deleting type-t edges one by one in ``order``, keeping each deletion
+    that leaves the edge's endpoints connected, is the reverse-delete
+    algorithm: edge ``order[j]`` goes exactly when its endpoints are already
+    joined by the edges of other types plus the type-t edges after j. One
+    backward pass of union-find over the components of the other-type edges
+    decides every edge in near-linear time.
+    """
+    other = g.edges[g.edge_type_of != et.id]
+    adj = coo_matrix(
+        (np.ones(len(other), dtype=np.int8), (other[:, 0], other[:, 1])),
+        shape=(g.n_nodes, g.n_nodes),
+    )
+    n_comp, label = connected_components(adj, directed=False)
+    parent = list(range(n_comp))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    lu = label[edges_t[order, 0]].tolist()
+    lv = label[edges_t[order, 1]].tolist()
+    removable = np.zeros(len(order), dtype=bool)
+    for j in range(len(order) - 1, -1, -1):
+        a, b = find(lu[j]), find(lv[j])
+        if a == b:
+            removable[j] = True
+        else:
+            parent[a] = b
+    return removable
 
 
 def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSplit:
@@ -171,47 +187,43 @@ def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSp
     global connected-component count; pair them with equal-count sampled
     non-edges of the original graph.
 
+    Candidates are tried in ``rng.permutation`` order and an edge is removed
+    when its endpoints stay connected without it. That greedy is the
+    reverse-delete algorithm, so one union-find pass decides it (see
+    ``_removable``) in near-linear time, O((V + E) alpha(V)), rather than
+    one graph search per candidate.
+
     If too many candidate edges are bridges, returns the maximal achievable
     split with a warning set.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     et = g.edge_type(t)
-    edges_t = g.edges_of_type(et)
+    idx_t = np.flatnonzero(g.edge_type_of == et.id)
+    edges_t = g.edges[idx_t]
     target = int(fraction * len(edges_t))
     order = rng.permutation(len(edges_t))
-    adj: list[set] = [set(map(int, g.neighbors(v))) for v in range(g.n_nodes)]
-    removed: list[tuple[int, int]] = []
-    for i in order:
-        if len(removed) == target:
-            break
-        u, v = map(int, edges_t[i])
-        adj[u].discard(v)
-        adj[v].discard(u)
-        if _still_connected(adj, u, v):
-            removed.append((u, v))
-        else:
-            adj[u].add(v)
-            adj[v].add(u)
+    taken = order[np.flatnonzero(_removable(g, et, edges_t, order))[:target]]
+    removed = edges_t[taken]
     warning = None
     if len(removed) < target:
         warning = f"only {len(removed)} of {target} edges removable without splitting components"
-    removed_set = {(min(u, v), max(u, v)) for u, v in removed}
+    keep = np.ones(g.n_edges, dtype=bool)
+    keep[idx_t[taken]] = False
     nodes = [(nid, g.node_types[t_].label) for nid, t_ in zip(g.node_ids, g.node_type_of)]
     kept = [
-        (int(u), int(v), g.edge_types[int(te)].label)
-        for (u, v), te in zip(g.edges, g.edge_type_of)
-        if (min(u, v), max(u, v)) not in removed_set
+        (u, v, g.edge_types[te].label)
+        for (u, v), te in zip(g.edges[keep].tolist(), g.edge_type_of[keep].tolist())
     ]
     train_graph = TypedGraph(nodes, kept)
     non_edges = (
         _sample_non_edges(g, et, len(removed), rng)
-        if removed
+        if len(removed)
         else np.empty((0, 2), dtype=np.int64)
     )
     return LinkSplit(
         train_graph=train_graph,
-        removed_edges=np.asarray(removed, dtype=np.int64).reshape(-1, 2),
+        removed_edges=removed,
         sampled_non_edges=non_edges,
         edge_type=et.label,
         warning=warning,

@@ -180,10 +180,18 @@ class TypedGraph:
         t = self.edge_type(t)
         return self.edges[self.edge_type_of == t.id]
 
+    def has_edges(self, us, vs) -> np.ndarray:
+        """Elementwise edge membership of the pairs (us[i], vs[i]), either orientation."""
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        codes = np.minimum(us, vs) * self.n_nodes + np.maximum(us, vs)
+        if self._edge_codes.size == 0:
+            return np.zeros(codes.shape, dtype=bool)
+        i = np.minimum(np.searchsorted(self._edge_codes, codes), self._edge_codes.size - 1)
+        return self._edge_codes[i] == codes
+
     def has_edge(self, u: int, v: int) -> bool:
-        code = min(u, v) * self.n_nodes + max(u, v)
-        i = np.searchsorted(self._edge_codes, code)
-        return bool(i < self._edge_codes.size and self._edge_codes[i] == code)
+        return bool(self.has_edges(u, v))
 
     def save(self, nodes_file, edges_file) -> None:
         with open(nodes_file, "w", encoding="utf-8") as f:

@@ -110,24 +110,18 @@ def self_guided_walk(g: TypedGraph, start: int, length: int, rng) -> list[int]:
     return state.sequence
 
 
-def generate_walks(g: TypedGraph, cfg: WalkConfig, threads: int = 1) -> list[list[int]]:
+def generate_walks(g: TypedGraph, cfg: WalkConfig) -> list[list[int]]:
     """walks_per_node walks from every node, deterministic given cfg.seed.
 
-    Each (node, repetition) pair owns an independent RNG substream, so the
-    output is identical regardless of thread count.
+    Each (node, repetition) pair owns an independent RNG substream.
     """
-
-    def one(node: int, rep: int) -> list[int]:
-        rng = seeding.substream(cfg.seed, seeding.WALKS, node, rep)
-        return self_guided_walk(g, node, cfg.walk_length, rng)
-
-    tasks = [(node, rep) for node in range(g.n_nodes) for rep in range(cfg.walks_per_node)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda nr: one(*nr), tasks))
-    return [one(node, rep) for node, rep in tasks]
+    return [
+        self_guided_walk(
+            g, node, cfg.walk_length, seeding.substream(cfg.seed, seeding.WALKS, node, rep)
+        )
+        for node in range(g.n_nodes)
+        for rep in range(cfg.walks_per_node)
+    ]
 
 
 def dump_walks(walks: list[list[int]], g: TypedGraph, path) -> None:

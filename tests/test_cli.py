@@ -50,6 +50,14 @@ def test_runtime_failure_exits_1(graph_files, tmp_path, capsys):
     assert rc == 1
 
 
+def test_runtime_failure_names_the_exception_type(graph_files, tmp_path, capsys):
+    nodes, edges = graph_files
+    rc = main(["linkpred", "--nodes", nodes, "--edges", edges, "--out", str(tmp_path / "o"),
+               "--edge-type", "no-such-type", *fast_flags()])
+    assert rc == 1
+    assert "error: GraphError: unknown edge type 'no-such-type'" in capsys.readouterr().err
+
+
 def test_train_writes_embeddings_log_and_manifest(graph_files, tmp_path):
     nodes, edges = graph_files
     out = tmp_path / "run"

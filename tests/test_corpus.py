@@ -1,17 +1,15 @@
-"""Sliding-window pair corpus and frequency-proportional negatives."""
+"""Sliding-window pair corpus and the alias table for noise negatives."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperwalk.corpus import (
-    AliasTable,
-    SamplerConfig,
-    build_corpus,
-    sample_negatives,
-    sample_negatives_batch,
-)
+from hyperwalk.corpus import AliasTable, SamplerConfig, build_corpus
+
+
+def pair_set(c):
+    return {(int(u), int(v)) for u, v in c.pairs}
 
 
 def test_window_pairs_on_a_single_walk():
@@ -31,7 +29,7 @@ def test_window_one_keeps_only_adjacent_pairs():
 def test_revisit_self_pairs_are_dropped():
     c = build_corpus([[0, 1, 0]], window=2, n_nodes=2)
     assert not any(u == v for u, v in c.pairs)
-    assert c.contains(0, 1) and not c.contains(0, 0)
+    assert pair_set(c) == {(0, 1), (1, 0)}
 
 
 def test_multiplicities_are_kept():
@@ -45,18 +43,9 @@ def test_node_freq_counts_pair_occurrences():
     assert c.node_freq[4] == 0
 
 
-def test_positives_of_matches_contains():
-    c = build_corpus([[0, 1, 2, 3]], window=2, n_nodes=4)
-    for u in range(4):
-        pos = set(c.positives_of(u).tolist())
-        assert pos == {w for w in range(4) if c.contains(u, w)}
-
-
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(window=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(negatives_per_positive=0)
 
 
 def test_alias_table_matches_weights():
@@ -80,60 +69,11 @@ def test_alias_table_rejects_bad_weights():
         AliasTable([1.0, -1.0])
 
 
-def test_negatives_avoid_positive_pairs():
-    walks = [[0, 1, 2, 3, 4], [4, 5, 6, 7, 8]]
-    c = build_corpus(walks, window=2, n_nodes=9)
-    rng = np.random.default_rng(0)
-    for u in range(9):
-        negs = sample_negatives(c, u, 50, rng)
-        assert negs.size == 50
-        assert not any(c.contains(u, int(w)) for w in negs)
-
-
-def test_negatives_are_frequency_proportional():
-    # node 1 appears in twice as many pairs as nodes 5..8; conditional on
-    # admissibility the draw rates should reflect that
-    walks = [[0, 1, 0, 1], [5, 6, 7, 8]]
-    c = build_corpus(walks, window=1, n_nodes=9)
-    rng = np.random.default_rng(1)
-    draws = sample_negatives(c, 5, 40_000, rng)
-    freq = np.bincount(draws, minlength=9)
-    admissible = [w for w in range(9) if c.node_freq[w] > 0 and not c.contains(5, w)]
-    expected = c.node_freq[admissible] / c.node_freq[admissible].sum()
-    got = freq[admissible] / freq[admissible].sum()
-    assert np.all(np.abs(got - expected) < 0.01)
-
-
-def test_batch_negatives_match_single_anchor_exclusion():
-    walks = [[0, 1, 2, 3, 4, 0, 2]]
-    c = build_corpus(walks, window=3, n_nodes=5)
-    rng = np.random.default_rng(2)
-    us = np.array([0, 1, 0, 4])
-    negs = sample_negatives_batch(c, us, 8, rng)
-    assert negs.shape == (4, 8)
-    for row, u in zip(negs, us):
-        assert not any(c.contains(int(u), int(w)) for w in row)
-
-
-def test_batch_negatives_large_graph_fallback():
-    # above the restricted-sampler cutoff the rejection path is used
-    n = 2000
-    walks = [list(range(0, n, 7)), list(range(1, n, 13))]
-    c = build_corpus(walks, window=2, n_nodes=n)
-    rng = np.random.default_rng(4)
-    us = np.array([0, 7, 14])
-    negs = sample_negatives_batch(c, us, 20, rng)
-    assert negs.shape == (3, 20)
-    for row, u in zip(negs, us):
-        assert not any(c.contains(int(u), int(w)) for w in row)
-        assert all(c.node_freq[int(w)] > 0 for w in row)
-
-
 def test_empty_corpus_rejects_sampling():
     c = build_corpus([], window=5, n_nodes=3)
-    assert len(c) == 0
+    assert len(c) == 0 and c.pairs.shape == (0, 2)
     with pytest.raises(ValueError):
-        sample_negatives(c, 0, 4, np.random.default_rng(0))
+        c.alias_table(0.75)  # all-zero noise weights
 
 
 @given(seed=st.integers(0, 2**32 - 1), window=st.integers(1, 5))
@@ -142,6 +82,7 @@ def test_corpus_is_symmetric_and_self_free(seed, window):
     rng = np.random.default_rng(seed)
     walk = rng.integers(0, 6, size=int(rng.integers(2, 30))).tolist()
     c = build_corpus([walk], window=window, n_nodes=6)
-    for u, v in c.pairs:
+    pairs = pair_set(c)
+    for u, v in pairs:
         assert u != v
-        assert c.contains(int(v), int(u))
+        assert (v, u) in pairs

@@ -1,8 +1,10 @@
 """Reconstruction/link-prediction AUC, splits, regions, projection."""
 
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperwalk import lorentz
@@ -18,6 +20,7 @@ from hyperwalk.evaluation import (
     score_pair,
 )
 from hyperwalk.graph import TypedGraph
+from hyperwalk.synthetic import two_block_graph
 from hyperwalk.trainer import EmbeddingTable, init_embeddings
 from tests.conftest import random_points
 
@@ -227,6 +230,140 @@ def test_split_roundtrip(tmp_path, rng):
         np.sort(np.asarray(split.removed_edges), axis=None),
     )
     assert again.train_graph.n_edges == split.train_graph.n_edges
+
+
+# --- the split against the greedy one-search-per-edge reference ----------
+
+
+def reference_link_split(g, t, fraction, rng):
+    """The split as first written: try edges in permutation order and run a
+    BFS after each tentative removal, keeping it when the endpoints stay
+    connected; then draw non-edges by rejection against a set of edges."""
+    et = g.edge_type(t)
+    edges_t = g.edges_of_type(et)
+    target = int(fraction * len(edges_t))
+    order = rng.permutation(len(edges_t))
+    adj = [set(map(int, g.neighbors(v))) for v in range(g.n_nodes)]
+
+    def connected(u, v):
+        seen, queue = {u}, deque([u])
+        while queue:
+            for y in adj[queue.popleft()]:
+                if y == v:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return False
+
+    removed = []
+    for i in order:
+        if len(removed) == target:
+            break
+        u, v = map(int, edges_t[i])
+        adj[u].discard(v)
+        adj[v].discard(u)
+        if connected(u, v):
+            removed.append((u, v))
+        else:
+            adj[u].add(v)
+            adj[v].add(u)
+    warning = None
+    if len(removed) < target:
+        warning = f"only {len(removed)} of {target} edges removable without splitting components"
+    gone = {(min(u, v), max(u, v)) for u, v in removed}
+    kept = [(int(u), int(v)) for u, v in g.edges if (min(u, v), max(u, v)) not in gone]
+
+    edge_set = {(int(u), int(v)) for u, v in g.edges}
+    A = g.nodes_of_type(et.endpoint_types[0])
+    B = g.nodes_of_type(et.endpoint_types[1])
+    non_edges = []
+    while len(non_edges) < len(removed):
+        m = max(len(removed) - len(non_edges), 64)
+        us = A[rng.integers(A.size, size=m)]
+        vs = B[rng.integers(B.size, size=m)]
+        ok = [u != v and (min(u, v), max(u, v)) not in edge_set for u, v in zip(us, vs)]
+        non_edges += [(int(u), int(v)) for u, v, o in zip(us, vs, ok) if o]
+    non_edges = non_edges[: len(removed)]
+    return (
+        np.asarray(removed, dtype=np.int64).reshape(-1, 2),
+        np.asarray(non_edges, dtype=np.int64).reshape(-1, 2),
+        kept,
+        warning,
+    )
+
+
+def assert_split_matches_reference(g, t, fraction, seed):
+    split = make_link_split(g, t, fraction, rng=np.random.default_rng(seed))
+    removed, non_edges, kept, warning = reference_link_split(
+        g, t, fraction, np.random.default_rng(seed)
+    )
+    assert split.removed_edges.dtype == np.int64
+    np.testing.assert_array_equal(split.removed_edges, removed)
+    np.testing.assert_array_equal(split.sampled_non_edges, non_edges)
+    assert split.train_graph.edges.tolist() == [list(e) for e in kept]
+    labels = [e.label for e in split.train_graph.edge_types]
+    kept_labels = [labels[te] for te in split.train_graph.edge_type_of]
+    label_of = {
+        (int(u), int(v)): g.edge_types[te].label for (u, v), te in zip(g.edges, g.edge_type_of)
+    }
+    assert kept_labels == [label_of[e] for e in kept]
+    assert split.warning == warning
+    return split
+
+
+@st.composite
+def typed_graphs(draw):
+    """Small graphs over three node types, so edges of up to six types mix.
+
+    Edges of one type are often bridged only through edges of others,
+    e.g. a0-b0 alongside the path a0-c0-b0.
+    """
+    n = draw(st.integers(2, 12))
+    types = draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n))
+    pairs = draw(
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda e: e[0] != e[1])
+            .map(lambda e: (min(e), max(e))),
+            min_size=1,
+            max_size=3 * n,
+        )
+    )
+    return TypedGraph([(f"n{i}", ty) for i, ty in enumerate(types)], sorted(pairs))
+
+
+@given(
+    g=typed_graphs(),
+    pick=st.integers(0, 5),
+    fraction=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_split_matches_greedy_reference(g, pick, fraction, seed):
+    et = g.edge_types[pick % len(g.edge_types)]
+    # non-edges are drawn by rejection, so at least one must exist
+    sides = [g.nodes_of_type(t) for t in et.endpoint_types]
+    assume(any(u != v and not g.has_edge(u, v) for u in sides[0] for v in sides[1]))
+    assert_split_matches_reference(g, et.label, fraction, seed)
+
+
+def test_split_removes_edges_bridged_only_by_other_types():
+    # the A-B edges form a tree, so each is a bridge among A-B edges alone;
+    # every one is removable because a path through C joins its endpoints
+    nodes = [("a0", "A"), ("a1", "A"), ("b0", "B"), ("b1", "B"), ("c0", "C")]
+    edges = [(0, 2), (1, 2), (1, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
+    g = TypedGraph(nodes, edges)
+    for seed in range(10):
+        split = assert_split_matches_reference(g, "A-B", 1.0, seed)
+        assert len(split.removed_edges) == 3 and split.warning is None
+        assert count_components(split.train_graph) == 1
+
+
+def test_split_matches_reference_on_planted_graph():
+    g = two_block_graph(np.random.default_rng(0))
+    split = assert_split_matches_reference(g, "A-B", 0.2, 0)
+    assert len(split.removed_edges) == int(0.2 * len(g.edges_of_type("A-B")))
 
 
 def test_link_prediction_perfect_memorizer(rng):

@@ -39,6 +39,17 @@ def test_neighbors_are_symmetric(tiny_hetero):
     assert not g.has_edge(0, 1)
 
 
+def test_has_edges_matches_has_edge(tiny_hetero):
+    g = tiny_hetero
+    us, vs = np.divmod(np.arange(g.n_nodes**2), g.n_nodes)
+    got = g.has_edges(us, vs)
+    assert got.dtype == bool and got.shape == us.shape
+    assert got.tolist() == [g.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
+    edges = {(int(u), int(v)) for u, v in g.edges}
+    assert got.tolist() == [(u, v) in edges or (v, u) in edges for u, v in zip(us, vs)]
+    assert TypedGraph([("a", "t"), ("b", "t")], []).has_edges([0], [1]).tolist() == [False]
+
+
 def test_neighbors_by_type(tiny_hetero):
     g = tiny_hetero
     papers_of_a0 = neighbors_by_type(g, 0, "paper")

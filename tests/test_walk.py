@@ -121,7 +121,6 @@ def test_generate_walks_shape_and_determinism(tiny_hetero):
     starts = [w[0] for w in walks]
     assert starts == sorted(starts)
     assert walks == generate_walks(tiny_hetero, cfg)
-    assert walks == generate_walks(tiny_hetero, cfg, threads=4)
     assert walks != generate_walks(tiny_hetero, WalkConfig(3, 10, seed=6))
 
 
