@@ -7,7 +7,7 @@ evaluation covers network reconstruction and link prediction.
 
 __version__ = "0.1.0"
 
-from .corpus import SampleCorpus, SamplerConfig, build_corpus
+from .corpus import SampleCorpus, build_corpus
 from .evaluation import (
     auc,
     link_prediction_eval,
@@ -22,7 +22,6 @@ from .walk import WalkConfig, generate_walks, self_guided_walk, transition_distr
 __all__ = [
     "EmbeddingTable",
     "SampleCorpus",
-    "SamplerConfig",
     "TrainConfig",
     "TypedGraph",
     "WalkConfig",

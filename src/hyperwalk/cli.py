@@ -7,6 +7,10 @@ with an environment variable prefixed ``HYPERWALK_`` (e.g. HYPERWALK_SEED=7).
 
 A runtime failure prints ``error: <ExceptionType>: <message>`` to stderr.
 
+``linkpred`` keeps its split in --split-dir (default ``<out>/split``) and
+reuses it on a later run only when the stored edge type and fraction equal
+the flags; a split made for other settings is a runtime failure.
+
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
 
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, seeding
-from .corpus import SamplerConfig, build_corpus
+from .corpus import build_corpus
 from .evaluation import (
     link_prediction_eval,
     load_link_split,
@@ -83,7 +87,6 @@ def _write_manifest(args, command: str) -> None:
 
 def _pipeline_configs(args):
     wcfg = WalkConfig(walks_per_node=args.walks, walk_length=args.walk_length, seed=args.seed)
-    scfg = SamplerConfig(window=args.window)
     tcfg = TrainConfig(
         lr=args.lr,
         batch_size=args.batch,
@@ -91,7 +94,7 @@ def _pipeline_configs(args):
         negatives_per_positive=args.negatives,
         seed=args.seed,
     )
-    return wcfg, scfg, tcfg
+    return wcfg, tcfg
 
 
 def cmd_train(args) -> int:
@@ -99,11 +102,11 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, "train")
-    wcfg, scfg, tcfg = _pipeline_configs(args)
+    wcfg, tcfg = _pipeline_configs(args)
     walks = generate_walks(g, wcfg)
     if args.dump_walks:
         dump_walks(walks, g, args.dump_walks)
-    corpus = build_corpus(walks, scfg.window, g.n_nodes)
+    corpus = build_corpus(walks, args.window, g.n_nodes)
     dims = _dims(args)
     for d in dims:
         table, history = train(g, corpus, tcfg, d)
@@ -147,16 +150,22 @@ def cmd_linkpred(args) -> int:
     split_dir = Path(args.split_dir) if args.split_dir else out / "split"
     if (split_dir / "split.json").exists():
         split = load_link_split(split_dir, g)
+        if (split.edge_type, split.fraction) != (args.edge_type, args.fraction):
+            raise ValueError(
+                f"{split_dir} holds a split of edge type {split.edge_type} at fraction "
+                f"{split.fraction}, but this run asks for edge type {args.edge_type} at "
+                f"fraction {args.fraction}; use another --split-dir or --out"
+            )
     else:
         rng = seeding.substream(args.seed, seeding.SPLITS)
         split = make_link_split(g, args.edge_type, fraction=args.fraction, rng=rng)
         save_link_split(split, split_dir, g)
     if split.warning:
         print(f"warning: {split.warning}", file=sys.stderr)
-    wcfg, scfg, tcfg = _pipeline_configs(args)
+    wcfg, tcfg = _pipeline_configs(args)
     tg = split.train_graph
     walks = generate_walks(tg, wcfg)
-    corpus = build_corpus(walks, scfg.window, tg.n_nodes)
+    corpus = build_corpus(walks, args.window, tg.n_nodes)
     reports = []
     dims = _dims(args)
     for d in dims:
@@ -196,9 +205,9 @@ def cmd_sweep(args) -> int:
     records = []
     for value in values:
         setattr(args, attr, value)
-        wcfg, scfg, tcfg = _pipeline_configs(args)
+        wcfg, tcfg = _pipeline_configs(args)
         walks = generate_walks(tg, wcfg)
-        corpus = build_corpus(walks, scfg.window, tg.n_nodes)
+        corpus = build_corpus(walks, args.window, tg.n_nodes)
         table, _ = train(tg, corpus, tcfg, args.dim)
         report = link_prediction_eval(split, table)
         records.append(
@@ -210,7 +219,7 @@ def cmd_sweep(args) -> int:
                 "config": {
                     "walks": wcfg.walks_per_node,
                     "walk_length": wcfg.walk_length,
-                    "window": scfg.window,
+                    "window": args.window,
                     "negatives": tcfg.negatives_per_positive,
                     "lr": tcfg.lr,
                     "batch": tcfg.batch_size,

@@ -4,27 +4,24 @@ A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
 
 Training negatives are frequency-based noise: each is an independent draw
-from ``SampleCorpus.alias_table(exponent)``, with probability proportional
-to a node's occurrence frequency in the pair multiset raised to
-``trainer.NOISE_EXPONENT`` (0.75, word2vec's smoothed unigram noise,
-Mikolov et al. 2013). Nothing is rejected, so a negative may be one of the
+from ``SampleCorpus.noise_table``, with probability proportional to a
+node's occurrence frequency in the pair multiset raised to
+``NOISE_EXPONENT``. Nothing is rejected, so a negative may be one of the
 anchor's positives or the anchor itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-
-@dataclass
-class SamplerConfig:
-    window: int = 5
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+# Negatives are drawn in proportion to frequency**NOISE_EXPONENT, word2vec's
+# smoothed unigram noise (Mikolov et al. 2013). At 1.0 every node is a
+# negative in the same fixed ratio to its positive count, which cancels much
+# of the pull that places hubs near the disk center; 0.75 draws hubs
+# relatively less often.
+NOISE_EXPONENT = 0.75
 
 
 class AliasTable:
@@ -49,12 +46,11 @@ class AliasTable:
             (small if p[g] < 1.0 else large).append(g)
         # leftovers are 1.0 within float error; prob/alias defaults cover them
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
+        """An array of ``size`` independent draws."""
         idx = rng.integers(self.prob.size, size=size)
         keep = rng.random(size) < self.prob[idx]
-        return np.where(keep, idx, self.alias[idx]) if size is not None else (
-            int(idx) if keep else int(self.alias[idx])
-        )
+        return np.where(keep, idx, self.alias[idx])
 
 
 class SampleCorpus:
@@ -64,15 +60,14 @@ class SampleCorpus:
         self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         self.n_nodes = int(n_nodes)
         self.node_freq = np.bincount(self.pairs.ravel(), minlength=self.n_nodes)
-        self._alias: dict[float, AliasTable] = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def alias_table(self, exponent: float = 1.0) -> AliasTable:
-        if exponent not in self._alias:
-            self._alias[exponent] = AliasTable(self.node_freq.astype(np.float64) ** exponent)
-        return self._alias[exponent]
+    @cached_property
+    def noise_table(self) -> AliasTable:
+        """Noise draws in proportion to node_freq**NOISE_EXPONENT, built on first use."""
+        return AliasTable(self.node_freq.astype(np.float64) ** NOISE_EXPONENT)
 
 
 def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
@@ -81,6 +76,8 @@ def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
     For each walk position i, emits ordered pairs (v_i, v_j) for every j != i
     with |i - j| <= window; revisit self-pairs (v, v) are dropped.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     us, vs = [], []
     for w in walks:
         a = np.asarray(w, dtype=np.int64)

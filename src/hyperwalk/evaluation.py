@@ -42,6 +42,7 @@ class LinkSplit:
     sampled_non_edges: np.ndarray  # (k, 2) node indices
     edge_type: str
     warning: str | None = None
+    fraction: float | None = None  # None: read from a split saved without it
 
 
 def score_pair(emb: EmbeddingTable, u: int, v: int) -> float:
@@ -227,6 +228,7 @@ def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSp
         sampled_non_edges=non_edges,
         edge_type=et.label,
         warning=warning,
+        fraction=fraction,
     )
 
 
@@ -244,7 +246,8 @@ def save_link_split(split: LinkSplit, out_dir, g: TypedGraph) -> None:
             for u, v in pairs:
                 f.write(f"{g.node_ids[u]}\t{g.node_ids[v]}\n")
     with open(out / "split.json", "w", encoding="utf-8") as f:
-        json.dump({"edge_type": split.edge_type, "warning": split.warning}, f, indent=2)
+        meta = {"edge_type": split.edge_type, "fraction": split.fraction, "warning": split.warning}
+        json.dump(meta, f, indent=2)
 
 
 def load_link_split(out_dir, g: TypedGraph) -> LinkSplit:
@@ -271,6 +274,7 @@ def load_link_split(out_dir, g: TypedGraph) -> LinkSplit:
         sampled_non_edges=read_pairs("non_edges.tsv"),
         edge_type=meta["edge_type"],
         warning=meta.get("warning"),
+        fraction=meta.get("fraction"),
     )
 
 
@@ -323,7 +327,7 @@ def region_stats(
     nodes = g.nodes_of_type(nt)
     p = lorentz.to_poincare(emb.coords[nodes])
     radius = np.asarray(lorentz.poincare_distance(np.zeros(p.shape[1]), p))
-    degrees = np.asarray([g.degree(int(v)) for v in nodes], dtype=np.float64)
+    degrees = g.degrees()[nodes].astype(np.float64)
     bounds = list(boundaries)
     band = np.searchsorted(bounds, radius, side="left")
     report = RegionReport(node_type=nt.label, boundaries=bounds)

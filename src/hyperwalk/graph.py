@@ -170,7 +170,8 @@ class TypedGraph:
         return sum(a.size for _, a in self._adj_groups[v])
 
     def degrees(self) -> np.ndarray:
-        return np.asarray([self.degree(v) for v in range(self.n_nodes)], dtype=np.int64)
+        """Degree of every node, indexed by node."""
+        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
     def nodes_of_type(self, t) -> np.ndarray:
         t = self.node_type(t)
@@ -216,9 +217,8 @@ def neighbors_by_type(g: TypedGraph, v: int, t) -> np.ndarray:
 def degree_stats(g: TypedGraph) -> dict[str, dict[int, int]]:
     """Per-node-type degree histogram: {type_label: {degree: node count}}."""
     out: dict[str, dict[int, int]] = {t.label: {} for t in g.node_types}
-    for v in range(g.n_nodes):
-        hist = out[g.node_types[g.node_type_of[v]].label]
-        d = g.degree(v)
+    for t, d in zip(g.node_type_of.tolist(), g.degrees().tolist()):
+        hist = out[g.node_types[t].label]
         hist[d] = hist.get(d, 0) + 1
     return out
 

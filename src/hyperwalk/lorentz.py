@@ -5,7 +5,7 @@ plain float64 arrays of n+1 ambient coordinates with the time-like
 coordinate last. All functions broadcast over leading axes, so a table of
 points of shape (m, n+1) works everywhere a single point does.
 
-The gradient pipeline follows the standard Lorentz-model RSGD convention:
+The trainer's gradient pipeline follows the standard Lorentz-model RSGD convention:
 Euclidean partial derivatives, sign flip on the time-like coordinate,
 projection onto the tangent space, then an exact exponential-map step.
 """
@@ -16,11 +16,6 @@ import numpy as np
 
 MANIFOLD_ATOL = 1e-9
 _SMALL_NORM = 1e-8
-_DEGENERATE_SQ = 1e-18
-
-
-class DegenerateGradient(ValueError):
-    """Distance gradient requested at (near-)coincident points."""
 
 
 def minkowski_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
@@ -70,21 +65,6 @@ def hyperbolic_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
     return out if np.ndim(out) else float(out)
 
 
-def ambient_distance_gradient(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Closed-form ambient gradient of d(x, y) with respect to x.
-
-    Returned in the Minkowski-raised form -y / sqrt(<x,y>_M^2 - 1); feed it
-    straight to :func:`project_to_tangent` (the time-coordinate sign flip is
-    already folded in).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    a = minkowski_inner(x, y)
-    sq = np.asarray(a) ** 2 - 1.0
-    if np.any(sq < _DEGENERATE_SQ):
-        raise DegenerateGradient("distance gradient degenerates at coincident points")
-    return -y / np.sqrt(sq)[..., None]
-
-
 def project_to_tangent(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Pi_x(u) = u + <u,x>_M x, the tangent-space projection at x."""
     x = np.asarray(x, dtype=np.float64)
@@ -111,17 +91,6 @@ def exp_map(x: np.ndarray, u: np.ndarray, check_tangent: bool = True) -> np.ndar
         np.cosh(safe)[..., None] * x + (np.sinh(safe) / safe)[..., None] * u,
     )
     return out
-
-
-def riemannian_gradient(x: np.ndarray, euclidean_grad: np.ndarray) -> np.ndarray:
-    """Turn Euclidean partials into the tangent-space gradient at x.
-
-    Applies the inverse Minkowski metric (sign flip on the time-like
-    coordinate) and then projects via Pi_x.
-    """
-    g = np.asarray(euclidean_grad, dtype=np.float64).copy()
-    g[..., -1] = -g[..., -1]
-    return project_to_tangent(x, g)
 
 
 def to_poincare(x: np.ndarray) -> np.ndarray:

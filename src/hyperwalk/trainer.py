@@ -7,7 +7,9 @@ For each positive pair (u, v) with negatives M, the per-pair loss is
 evaluated with a log-sum-exp shift. Gradients flow through the squared
 hyperbolic distance (smooth at coincidence), get projected onto tangent
 spaces, and every touched point takes one exact exponential-map step per
-batch, followed by re-normalization onto the manifold.
+batch, followed by re-normalization onto the manifold. Each epoch's log
+record carries ``max_manifold_drift``, the largest |<x,x>_M + 1| of an
+updated point before that re-normalization.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ import numpy as np
 from . import lorentz, seeding
 from .corpus import SampleCorpus
 from .graph import TypedGraph
-
-
-# Negatives are drawn in proportion to frequency**NOISE_EXPONENT, word2vec's
-# smoothed unigram noise (Mikolov et al. 2013). At 1.0 every node is a
-# negative in the same fixed ratio to its positive count, which cancels much
-# of the pull that places hubs near the disk center; 0.75 draws hubs
-# relatively less often.
-NOISE_EXPONENT = 0.75
 
 
 class TrainingDiverged(RuntimeError):
@@ -97,13 +91,21 @@ class EmbeddingTable:
 
 
 def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
-    """Load a saved table and reorder rows to match g's node indexing."""
+    """Load a saved table and reorder rows to match g's node indexing.
+
+    The file must name each node of g exactly once; otherwise ValueError.
+    """
     table, ids, _ = EmbeddingTable.load_tsv(path)
+    distinct = set(ids)
+    if len(ids) != g.n_nodes or distinct != set(g.node_ids):
+        raise ValueError(
+            f"{path} must hold one row for each of the graph's {g.n_nodes} nodes; it has "
+            f"{len(ids)} rows naming {len(distinct)} distinct ids, "
+            f"{len(distinct.difference(g.node_ids))} of them not in the graph"
+        )
     order = np.asarray([g.node_index(i) for i in ids])
     coords = np.empty_like(table.coords)
     coords[order] = table.coords
-    if len(ids) != g.n_nodes:
-        raise ValueError(f"{path} covers {len(ids)} nodes, graph has {g.n_nodes}")
     return EmbeddingTable(coords)
 
 
@@ -183,16 +185,16 @@ def train(
     cfg: TrainConfig,
     dim: int,
     table: EmbeddingTable | None = None,
-    track_drift: bool = False,
 ) -> tuple[EmbeddingTable, list[dict]]:
     """SGD over a seed-shuffled pair multiset; returns (table, epoch log).
 
     Per batch: fresh noise negatives, gradients summed per node, one
     exponential-map step per touched node, then re-normalization.
     Negatives are plain word2vec-style noise drawn from
-    ``corpus.alias_table(NOISE_EXPONENT)``, i.e. in proportion to
-    frequency**0.75: nothing is rejected, so a negative may be one of the
-    anchor's positives or the anchor itself.
+    ``corpus.noise_table``, i.e. in proportion to frequency**0.75: nothing
+    is rejected, so a negative may be one of the anchor's positives or the
+    anchor itself. Each epoch record holds ``epoch``, ``mean_loss``,
+    ``wall_time_s`` and ``max_manifold_drift``.
     Fully deterministic for a fixed cfg.seed.
     """
     if len(corpus) == 0:
@@ -205,14 +207,14 @@ def train(
     neg_rng = seeding.substream(cfg.seed, seeding.NEGATIVES)
     shuffle_rng = seeding.substream(cfg.seed, seeding.SHUFFLE)
     k = cfg.negatives_per_positive
-    noise = corpus.alias_table(NOISE_EXPONENT)
+    noise = corpus.noise_table
     pairs = corpus.pairs
     history: list[dict] = []
-    max_drift = 0.0
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(pairs))
         loss_sum = 0.0
+        max_drift = 0.0
         for b0 in range(0, len(order), cfg.batch_size):
             idx = order[b0 : b0 + cfg.batch_size]
             u_idx = pairs[idx, 0]
@@ -245,19 +247,19 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite update in epoch {epoch}, batch {b0 // cfg.batch_size}"
                 )
-            if track_drift:
-                drift = np.abs(lorentz.minkowski_inner(moved, moved) + 1.0)
-                max_drift = max(max_drift, float(drift.max()))
-            coords[touched] = lorentz.normalize(moved)
+            normalized = lorentz.normalize(moved)
+            # normalize recomputes the time coordinate as t' = sqrt(1 + |spatial|^2),
+            # so the drift |<moved, moved>_M + 1| it removes is |t'^2 - t^2|
+            drift = np.abs(normalized[:, -1] ** 2 - moved[:, -1] ** 2)
+            max_drift = max(max_drift, float(drift.max()))
+            coords[touched] = normalized
             loss_sum += batch_loss
         history.append(
             {
                 "epoch": epoch,
                 "mean_loss": loss_sum / len(pairs),
                 "wall_time_s": time.perf_counter() - t0,
+                "max_manifold_drift": max_drift,
             }
         )
-    if track_drift:
-        for h in history:
-            h["max_manifold_drift"] = max_drift
     return table, history

@@ -5,7 +5,8 @@ frequent in the walk so far: a neighbor of type t is chosen with
 probability proportional to exp(-N_t) / (#neighbors of type t), where N_t
 counts how often type t appears in the current sequence. Equivalently:
 pick a type present in the neighborhood with probability ~ exp(-N_t),
-then a uniform neighbor of that type.
+then a uniform neighbor of that type. :func:`type_weights` computes the
+type weights for both the sampler and the exact distribution.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .graph import TypedGraph
 
 
 class DeadEnd(Exception):
-    """The walk's last node has no neighbors."""
+    """The node has no neighbors."""
 
 
 @dataclass
@@ -36,47 +37,39 @@ class WalkConfig:
             raise ValueError("walks_per_node must be >= 1")
 
 
-class WalkState:
-    """A walk in progress: node sequence plus per-type occurrence counters."""
+def type_weights(groups, type_counts) -> list[float]:
+    """The self-guided law's weight exp(-N_t) for each neighbor group's type.
 
-    def __init__(self, g: TypedGraph, start: int):
-        self.graph = g
-        self.sequence: list[int] = []
-        self.type_counts = np.zeros(len(g.node_types), dtype=np.int64)
-        self.append(start)
-
-    def append(self, v: int) -> None:
-        self.sequence.append(v)
-        self.type_counts[self.graph.node_type_of[v]] += 1
-
-    @property
-    def last(self) -> int:
-        return self.sequence[-1]
+    Counts are shifted by their minimum over the groups before
+    exponentiation; the shift cancels on normalization and keeps the
+    weights from underflowing on long walks.
+    """
+    shift = min(int(type_counts[t]) for t, _ in groups)
+    return [math.exp(-(int(type_counts[t]) - shift)) for t, _ in groups]
 
 
-def transition_distribution(g: TypedGraph, state: WalkState) -> dict[int, float]:
-    """Exact next-step distribution over neighbors of the walk's last node."""
-    groups = g.adjacency_groups(state.last)
+def transition_distribution(g: TypedGraph, v: int, type_counts) -> dict[int, float]:
+    """Exact next-step distribution over the neighbors of v."""
+    groups = g.adjacency_groups(v)
     if not groups:
-        raise DeadEnd(f"node {state.last} has no neighbors")
-    counts = state.type_counts
-    shift = min(int(counts[t]) for t, _ in groups)
-    type_weights = [math.exp(-(int(counts[t]) - shift)) for t, _ in groups]
-    total = sum(type_weights)
+        raise DeadEnd(f"node {v} has no neighbors")
+    weights = type_weights(groups, type_counts)
+    total = sum(weights)
     dist: dict[int, float] = {}
-    for (t, arr), w in zip(groups, type_weights):
+    for (_, arr), w in zip(groups, weights):
         p = w / (total * arr.size)
         for u in arr:
             dist[int(u)] = p
     return dist
 
 
-def sample_transition(g, v, type_counts, rng) -> int | None:
+def sample_transition(g: TypedGraph, v: int, type_counts, rng) -> int | None:
     """One draw from the self-guided transition at node v; None at dead ends.
 
-    Samples type-first (weights exp(-N_t) over types present, shifted by the
-    minimum count before exponentiation), then a uniform neighbor of that
-    type; this induces exactly the per-neighbor distribution above.
+    Samples a type with weight :func:`type_weights`, then a uniform neighbor
+    of that type; this induces exactly :func:`transition_distribution`. A
+    node with one neighbor type draws no type, and a type with one neighbor
+    draws no neighbor.
     """
     groups = g.adjacency_groups(v)
     if not groups:
@@ -84,8 +77,7 @@ def sample_transition(g, v, type_counts, rng) -> int | None:
     if len(groups) == 1:
         arr = groups[0][1]
     else:
-        shift = min(int(type_counts[t]) for t, _ in groups)
-        weights = [math.exp(-(int(type_counts[t]) - shift)) for t, _ in groups]
+        weights = type_weights(groups, type_counts)
         r = rng.random() * sum(weights)
         acc = 0.0
         arr = groups[-1][1]
@@ -100,14 +92,20 @@ def sample_transition(g, v, type_counts, rng) -> int | None:
 
 
 def self_guided_walk(g: TypedGraph, start: int, length: int, rng) -> list[int]:
-    """Walk of up to ``length`` nodes from ``start``; truncated at dead ends."""
-    state = WalkState(g, start)
+    """Walk of up to ``length`` nodes from ``start``; truncated at dead ends.
+
+    N_t counts every node of the walk so far, the start node included.
+    """
+    walk = [start]
+    type_counts = np.zeros(len(g.node_types), dtype=np.int64)
+    type_counts[g.node_type_of[start]] += 1
     for _ in range(length - 1):
-        nxt = sample_transition(g, state.last, state.type_counts, rng)
+        nxt = sample_transition(g, walk[-1], type_counts, rng)
         if nxt is None:
             break
-        state.append(nxt)
-    return state.sequence
+        walk.append(nxt)
+        type_counts[g.node_type_of[nxt]] += 1
+    return walk
 
 
 def generate_walks(g: TypedGraph, cfg: WalkConfig) -> list[list[int]]:

@@ -68,7 +68,8 @@ def test_train_writes_embeddings_log_and_manifest(graph_files, tmp_path):
     assert len(emb) == 24
     assert len(emb[0].split("\t")) == 2 + 3  # id, type, 3 ambient coords
     log = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
-    assert len(log) == 1 and {"epoch", "mean_loss", "wall_time_s"} <= set(log[0])
+    assert len(log) == 1
+    assert {"epoch", "mean_loss", "wall_time_s", "max_manifold_drift"} <= set(log[0])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["config"]["seed"] == 0
@@ -132,6 +133,25 @@ def test_linkpred_writes_split_and_report(graph_files, tmp_path):
     assert (out / "split" / "split.json").exists()
     reports = json.loads((out / "link_prediction.json").read_text())
     assert reports[0]["n_pos"] == reports[0]["n_neg"] > 0
+
+
+def test_linkpred_reuses_only_a_matching_split(graph_files, tmp_path, capsys):
+    nodes, edges = graph_files
+    out = tmp_path / "lp"
+
+    def linkpred(fraction):
+        return main(["linkpred", "--nodes", nodes, "--edges", edges, "--out", str(out),
+                     "--edge-type", "A-B", "--fraction", fraction, "--dim", "2", *fast_flags()])
+
+    assert linkpred("0.2") == 0
+    split = (out / "split" / "removed_edges.tsv").read_bytes()
+    assert json.loads((out / "split" / "split.json").read_text())["fraction"] == 0.2
+    assert linkpred("0.2") == 0  # same flags: the stored split is reused
+    assert (out / "split" / "removed_edges.tsv").read_bytes() == split
+    capsys.readouterr()
+    assert linkpred("0.5") == 1
+    err = capsys.readouterr().err
+    assert "error: ValueError:" in err and "0.2" in err and "0.5" in err
 
 
 def test_project_exports_disk_coordinates(graph_files, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperwalk.corpus import AliasTable, SamplerConfig, build_corpus
+from hyperwalk.corpus import AliasTable, build_corpus
 
 
 def pair_set(c):
@@ -43,9 +43,10 @@ def test_node_freq_counts_pair_occurrences():
     assert c.node_freq[4] == 0
 
 
-def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(window=0)
+def test_build_corpus_rejects_bad_window():
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window"):
+            build_corpus([[0, 1, 2]], window=window, n_nodes=3)
 
 
 def test_alias_table_matches_weights():
@@ -73,7 +74,7 @@ def test_empty_corpus_rejects_sampling():
     c = build_corpus([], window=5, n_nodes=3)
     assert len(c) == 0 and c.pairs.shape == (0, 2)
     with pytest.raises(ValueError):
-        c.alias_table(0.75)  # all-zero noise weights
+        c.noise_table  # all-zero noise weights
 
 
 @given(seed=st.integers(0, 2**32 - 1), window=st.integers(1, 5))

@@ -47,12 +47,6 @@ def test_poincare_distance_half_radius_point():
     assert d == pytest.approx(np.log(3.0), abs=1e-12)
 
 
-def test_degenerate_gradient_raises_at_coincident_points():
-    x = lorentz.origin(2)
-    with pytest.raises(lorentz.DegenerateGradient):
-        lorentz.ambient_distance_gradient(x, x)
-
-
 # --- properties -----------------------------------------------------------
 
 
@@ -108,15 +102,6 @@ def test_tangent_projection_is_orthogonal_and_idempotent(seed, d):
     assert abs(lorentz.minkowski_inner(x, u)) < 1e-9
     again = lorentz.project_to_tangent(x, u)
     np.testing.assert_allclose(again, u, atol=1e-12)
-
-
-@given(seed=seeds, d=dims)
-@settings(max_examples=50, deadline=None)
-def test_riemannian_gradient_lives_in_tangent_space(seed, d):
-    rng = np.random.default_rng(seed)
-    x = random_point(rng, d)
-    g = lorentz.riemannian_gradient(x, rng.normal(size=d + 1))
-    assert abs(lorentz.minkowski_inner(x, g)) < 1e-9
 
 
 @given(seed=seeds, d=dims)

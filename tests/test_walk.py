@@ -11,13 +11,19 @@ from hyperwalk.graph import TypedGraph
 from hyperwalk.walk import (
     DeadEnd,
     WalkConfig,
-    WalkState,
     dump_walks,
     generate_walks,
     sample_transition,
     self_guided_walk,
     transition_distribution,
 )
+
+
+def start_counts(g, v):
+    """Type counts of a walk that has only visited v."""
+    counts = np.zeros(len(g.node_types), dtype=np.int64)
+    counts[g.node_type_of[v]] = 1
+    return counts
 
 
 def star_graph():
@@ -30,10 +36,10 @@ def test_transition_down_weights_frequent_types():
     # walk so far saw type A twice, type B once; next step from c:
     # P(b1) = e^{-1} / (e^{-2} + e^{-1}) = 1 / (1 + e^{-1})
     g = star_graph()
-    state = WalkState(g, 0)
-    state.type_counts[g.node_type("A").id] = 2
-    state.type_counts[g.node_type("B").id] = 1
-    dist = transition_distribution(g, state)
+    counts = start_counts(g, 0)
+    counts[g.node_type("A").id] = 2
+    counts[g.node_type("B").id] = 1
+    dist = transition_distribution(g, 0, counts)
     assert dist[2] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-12)
     assert dist[1] == pytest.approx(math.exp(-1) / (1 + math.exp(-1)), abs=1e-12)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
@@ -42,8 +48,7 @@ def test_transition_down_weights_frequent_types():
 def test_transition_uniform_within_a_type():
     nodes = [("c", "C"), ("a1", "A"), ("a2", "A"), ("b1", "B")]
     g = TypedGraph(nodes, [(0, 1), (0, 2), (0, 3)])
-    state = WalkState(g, 0)  # counts: only C seen, A and B tie at 0
-    dist = transition_distribution(g, state)
+    dist = transition_distribution(g, 0, start_counts(g, 0))  # A and B tie at 0
     assert dist[1] == dist[2] == pytest.approx(0.25, abs=1e-12)
     assert dist[3] == pytest.approx(0.5, abs=1e-12)
 
@@ -51,9 +56,9 @@ def test_transition_uniform_within_a_type():
 def test_transition_raises_at_dead_end():
     g = TypedGraph([("a", "t"), ("b", "t")], [])
     with pytest.raises(DeadEnd):
-        transition_distribution(g, WalkState(g, 0))
+        transition_distribution(g, 0, start_counts(g, 0))
     rng = np.random.default_rng(0)
-    assert sample_transition(g, 0, WalkState(g, 0).type_counts, rng) is None
+    assert sample_transition(g, 0, start_counts(g, 0), rng) is None
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -66,11 +71,10 @@ def test_transition_matches_per_neighbor_formula(seed):
     nodes = [(f"n{i}", labels[int(rng.integers(3))]) for i in range(n)]
     edges = [(0, j) for j in range(1, n)]  # star: ensures <= 6ish neighbor groups
     g = TypedGraph(nodes, edges)
-    state = WalkState(g, 0)
+    counts = start_counts(g, 0)
     for _ in range(int(rng.integers(0, 20))):
-        state.type_counts[int(rng.integers(3)) % len(g.node_types)] += 1
-    dist = transition_distribution(g, state)
-    counts = state.type_counts
+        counts[int(rng.integers(3)) % len(g.node_types)] += 1
+    dist = transition_distribution(g, 0, counts)
     weights = {}
     for v in g.neighbors(0):
         t = int(g.node_type_of[v])
@@ -83,13 +87,13 @@ def test_transition_matches_per_neighbor_formula(seed):
 
 def test_sample_transition_empirical_frequencies():
     g = star_graph()
-    state = WalkState(g, 0)
-    state.type_counts[g.node_type("A").id] = 2
-    state.type_counts[g.node_type("B").id] = 1
-    dist = transition_distribution(g, state)
+    counts = start_counts(g, 0)
+    counts[g.node_type("A").id] = 2
+    counts[g.node_type("B").id] = 1
+    dist = transition_distribution(g, 0, counts)
     rng = np.random.default_rng(7)
     n = 100_000
-    hits = sum(sample_transition(g, 0, state.type_counts, rng) == 2 for _ in range(n))
+    hits = sum(sample_transition(g, 0, counts, rng) == 2 for _ in range(n))
     p = dist[2]
     se = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) < 3 * se
@@ -108,10 +112,15 @@ def test_walk_truncates_at_dead_end():
     assert self_guided_walk(g, 0, 10, np.random.default_rng(0)) == [0]
 
 
-def test_type_counts_include_the_start_node(tiny_hetero):
-    state = WalkState(tiny_hetero, 0)
-    assert state.type_counts.sum() == 1
-    assert state.type_counts[tiny_hetero.node_type("author").id] == 1
+def test_type_counts_include_the_start_node():
+    # a1 -> c -> ?: with the start counted, N_A = N_C = 1 and N_B = 0, so
+    # P(b1) = 1 / (1 + e^{-1}); without it, A and B would tie at 1/2
+    g = star_graph()
+    rng = np.random.default_rng(11)
+    n = 20_000
+    hits = sum(self_guided_walk(g, 1, 3, rng)[2] == 2 for _ in range(n))
+    p = 1 / (1 + math.exp(-1))
+    assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n)
 
 
 def test_generate_walks_shape_and_determinism(tiny_hetero):
