@@ -1,15 +1,14 @@
 """Command-line front-end: train / reconstruct / linkpred / sweep / project.
 
-All randomness flows from one --seed through named substreams, so runs
-with identical flags are byte-identical. Every run writes a manifest.json
-with the fully resolved configuration. Any flag default can be overridden
-with an environment variable prefixed ``HYPERWALK_`` (e.g. HYPERWALK_SEED=7).
+A run depends only on its flags and input files. All randomness flows from
+one --seed through named substreams, so runs with identical flags are
+byte-identical. Every run writes a manifest.json with the fully resolved
+configuration.
 
 A runtime failure prints ``error: <ExceptionType>: <message>`` to stderr.
 
-``linkpred`` keeps its split in --split-dir (default ``<out>/split``) and
-reuses it on a later run only when the stored edge type and fraction equal
-the flags; a split made for other settings is a runtime failure.
+``linkpred`` and ``sweep`` make their split from --edge-type, --fraction and
+--seed on every run; ``linkpred`` writes it to ``<out>/split/`` as output.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -22,13 +21,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, seeding
 from .corpus import build_corpus
 from .evaluation import (
     link_prediction_eval,
-    load_link_split,
     make_link_split,
     reconstruct,
     region_stats,
@@ -36,38 +32,47 @@ from .evaluation import (
     save_link_split,
 )
 from .graph import load_graph
-from .trainer import EmbeddingTable, TrainConfig, load_embeddings_for_graph, train
+from .trainer import TrainConfig, load_embeddings_for_graph, train
 from .walk import WalkConfig, dump_walks, generate_walks
-
-ENV_PREFIX = "HYPERWALK_"
-
-
-def _env(name: str, cast, default):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    return cast(raw) if raw is not None else default
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", required=True, help="node TSV: node_id<TAB>type_label")
     p.add_argument("--edges", required=True, help="edge TSV: src<TAB>dst[<TAB>edge_label]")
-    p.add_argument("--out", default=_env("out", str, "out"), help="output directory")
-    p.add_argument("--seed", type=int, default=_env("seed", int, 0))
+    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_pipeline(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--walks", type=int, default=_env("walks", int, 10), help="walks per node")
-    p.add_argument("--walk-length", type=int, default=_env("walk_length", int, 80))
-    p.add_argument("--window", type=int, default=_env("window", int, 5))
-    p.add_argument("--negatives", type=int, default=_env("negatives", int, 20))
-    p.add_argument("--lr", type=float, default=_env("lr", float, 0.3))
-    p.add_argument("--batch", type=int, default=_env("batch", int, 512))
-    p.add_argument("--epochs", type=int, default=_env("epochs", int, 5))
+    p.add_argument("--walks", type=int, default=10, help="walks per node")
+    p.add_argument("--walk-length", type=int, default=80)
+    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--negatives", type=int, default=20)
+    p.add_argument("--lr", type=float, default=0.3)
+    p.add_argument("--batch", type=int, default=512)
+    p.add_argument("--epochs", type=int, default=5)
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x]
 
 
 def _dims(args) -> list[int]:
-    if getattr(args, "dims", None):
-        return [int(x) for x in str(args.dims).split(",") if x]
-    return [int(args.dim)]
+    if args.dims is None:
+        return [args.dim]
+    dims = _int_list(args.dims)
+    if not dims:
+        raise ValueError(f"--dims {args.dims!r} lists no dimension")
+    return dims
+
+
+def _split(args, g):
+    """The held-out split of --edge-type that --fraction and --seed fix."""
+    rng = seeding.substream(args.seed, seeding.SPLITS)
+    split = make_link_split(g, args.edge_type, fraction=args.fraction, rng=rng)
+    if split.warning:
+        print(f"warning: {split.warning}", file=sys.stderr)
+    return split
 
 
 def _write_manifest(args, command: str) -> None:
@@ -98,16 +103,15 @@ def _pipeline_configs(args):
 
 
 def cmd_train(args) -> int:
+    dims = _dims(args)
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, "train")
     wcfg, tcfg = _pipeline_configs(args)
     walks = generate_walks(g, wcfg)
     if args.dump_walks:
         dump_walks(walks, g, args.dump_walks)
     corpus = build_corpus(walks, args.window, g.n_nodes)
-    dims = _dims(args)
     for d in dims:
         table, history = train(g, corpus, tcfg, d)
         suffix = "" if len(dims) == 1 else f"_d{d}"
@@ -119,21 +123,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    declared = None if args.dims is None else _int_list(args.dims)
+    if declared is not None and len(declared) != len(args.embeddings):
+        raise ValueError(
+            f"--dims lists {len(declared)} dimensions for {len(args.embeddings)} --embeddings files"
+        )
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, "reconstruct")
     edge_types = [args.edge_type] if args.edge_type else [t.label for t in g.edge_types]
     rng = seeding.substream(args.seed, seeding.NONEDGES)
     reports = []
     for i, emb_path in enumerate(args.embeddings):
         emb = load_embeddings_for_graph(emb_path, g)
-        if args.dims:
-            expected = [int(x) for x in str(args.dims).split(",") if x]
-            if emb.dim != expected[i]:
-                raise ValueError(
-                    f"{emb_path}: embedding dimension {emb.dim} != declared {expected[i]}"
-                )
+        if declared is not None and emb.dim != declared[i]:
+            raise ValueError(f"{emb_path}: embedding dimension {emb.dim} != declared {declared[i]}")
         for et in edge_types:
             reports.append(reconstruct(g, emb, et, max_neg=args.max_neg, rng=rng).to_dict())
     with open(out / "reconstruction.json", "w", encoding="utf-8") as f:
@@ -143,31 +147,17 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_linkpred(args) -> int:
+    dims = _dims(args)
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, "linkpred")
-    split_dir = Path(args.split_dir) if args.split_dir else out / "split"
-    if (split_dir / "split.json").exists():
-        split = load_link_split(split_dir, g)
-        if (split.edge_type, split.fraction) != (args.edge_type, args.fraction):
-            raise ValueError(
-                f"{split_dir} holds a split of edge type {split.edge_type} at fraction "
-                f"{split.fraction}, but this run asks for edge type {args.edge_type} at "
-                f"fraction {args.fraction}; use another --split-dir or --out"
-            )
-    else:
-        rng = seeding.substream(args.seed, seeding.SPLITS)
-        split = make_link_split(g, args.edge_type, fraction=args.fraction, rng=rng)
-        save_link_split(split, split_dir, g)
-    if split.warning:
-        print(f"warning: {split.warning}", file=sys.stderr)
+    split = _split(args, g)
+    save_link_split(split, out / "split", g)
     wcfg, tcfg = _pipeline_configs(args)
     tg = split.train_graph
     walks = generate_walks(tg, wcfg)
     corpus = build_corpus(walks, args.window, tg.n_nodes)
     reports = []
-    dims = _dims(args)
     for d in dims:
         table, _ = train(tg, corpus, tcfg, d)
         suffix = "" if len(dims) == 1 else f"_d{d}"
@@ -193,14 +183,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"unknown sweep parameter {args.param!r}; choose from {sorted(SWEEPABLE)}")
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, "sweep")
     attr, cast = SWEEPABLE[args.param]
     values = [cast(x) for x in str(args.values).split(",") if x]
-    rng = seeding.substream(args.seed, seeding.SPLITS)
-    split = make_link_split(g, args.edge_type, fraction=args.fraction, rng=rng)
-    if split.warning:
-        print(f"warning: {split.warning}", file=sys.stderr)
+    split = _split(args, g)
     tg = split.train_graph
     records = []
     for value in values:
@@ -237,7 +223,6 @@ def cmd_sweep(args) -> int:
 def cmd_project(args) -> int:
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, "project")
     emb = load_embeddings_for_graph(args.embeddings, g)
     export_projection(emb, out / "projection.tsv", g)
@@ -262,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="embed a network and write embeddings + log")
     _add_common(p)
     _add_pipeline(p)
-    p.add_argument("--dim", type=int, default=_env("dim", int, 10))
-    p.add_argument("--dims", default=_env("dims", str, None), help="comma list, e.g. 2,5,10")
+    p.add_argument("--dim", type=int, default=10)
+    p.add_argument("--dims", default=None, help="comma list, e.g. 2,5,10")
     p.add_argument("--dump-walks", default=None, help="optional walk dump path")
     p.set_defaults(func=cmd_train)
 
@@ -272,17 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", action="append", required=True, help="embedding TSV (repeatable)")
     p.add_argument("--dims", default=None, help="declared dimension per embeddings file")
     p.add_argument("--edge-type", default=None)
-    p.add_argument("--max-neg", type=int, default=_env("max_neg", int, 1_000_000))
+    p.add_argument("--max-neg", type=int, default=1_000_000)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("linkpred", help="20%% split, retrain, link-prediction AUC")
     _add_common(p)
     _add_pipeline(p)
-    p.add_argument("--dim", type=int, default=_env("dim", int, 10))
+    p.add_argument("--dim", type=int, default=10)
     p.add_argument("--dims", default=None, help="comma list of dimensions")
     p.add_argument("--edge-type", required=True)
-    p.add_argument("--fraction", type=float, default=_env("fraction", float, 0.2))
-    p.add_argument("--split-dir", default=None, help="reuse/persist the split here")
+    p.add_argument("--fraction", type=float, default=0.2)
     p.set_defaults(func=cmd_linkpred)
 
     p = sub.add_parser("sweep", help="single-parameter sensitivity sweep (link prediction)")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -28,6 +29,9 @@ class AucReport:
     auc: float
     n_pos: int
     n_neg: int
+    # scored pairs with an endpoint of degree 0 in the graph scored on: such
+    # a node gets no window pair, so train never moves it from its init
+    isolated_pairs: int
     negatives_sampled: bool = False
     warning: str | None = None
 
@@ -41,8 +45,8 @@ class LinkSplit:
     removed_edges: np.ndarray  # (k, 2) node indices
     sampled_non_edges: np.ndarray  # (k, 2) node indices
     edge_type: str
+    fraction: float
     warning: str | None = None
-    fraction: float | None = None  # None: read from a split saved without it
 
 
 def score_pair(emb: EmbeddingTable, u: int, v: int) -> float:
@@ -55,6 +59,12 @@ def _score_pairs(emb: EmbeddingTable, pairs: np.ndarray) -> np.ndarray:
     return -np.asarray(
         lorentz.hyperbolic_distance(emb.coords[pairs[:, 0]], emb.coords[pairs[:, 1]])
     )
+
+
+def _isolated_pairs(g: TypedGraph, *pair_sets: np.ndarray) -> int:
+    """Pairs, over all the (k, 2) index arrays given, with an isolated endpoint in g."""
+    isolated = g.degrees() == 0
+    return sum(int(isolated[pairs].any(axis=1).sum()) for pairs in pair_sets)
 
 
 def auc(pos_scores, neg_scores) -> float:
@@ -143,6 +153,7 @@ def reconstruct(
         auc=auc(_score_pairs(emb, positives), _score_pairs(emb, negatives)),
         n_pos=len(positives),
         n_neg=len(negatives),
+        isolated_pairs=_isolated_pairs(g, positives, negatives),
         negatives_sampled=sampled,
     )
 
@@ -195,8 +206,10 @@ def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSp
     one graph search per candidate.
 
     If too many candidate edges are bridges, returns the maximal achievable
-    split with a warning set.
+    split with a warning set. A fraction outside (0, 1] is a ValueError.
     """
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if rng is None:
         rng = np.random.default_rng(0)
     et = g.edge_type(t)
@@ -233,8 +246,6 @@ def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSp
 
 
 def save_link_split(split: LinkSplit, out_dir, g: TypedGraph) -> None:
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     split.train_graph.save(out / "train_nodes.tsv", out / "train_edges.tsv")
@@ -250,34 +261,6 @@ def save_link_split(split: LinkSplit, out_dir, g: TypedGraph) -> None:
         json.dump(meta, f, indent=2)
 
 
-def load_link_split(out_dir, g: TypedGraph) -> LinkSplit:
-    from pathlib import Path
-
-    from .graph import load_graph
-
-    out = Path(out_dir)
-    train_graph = load_graph(out / "train_nodes.tsv", out / "train_edges.tsv")
-
-    def read_pairs(name):
-        rows = []
-        with open(out / name, encoding="utf-8") as f:
-            for line in f:
-                a, b = line.rstrip("\n").split("\t")
-                rows.append((g.node_index(a), g.node_index(b)))
-        return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-
-    with open(out / "split.json", encoding="utf-8") as f:
-        meta = json.load(f)
-    return LinkSplit(
-        train_graph=train_graph,
-        removed_edges=read_pairs("removed_edges.tsv"),
-        sampled_non_edges=read_pairs("non_edges.tsv"),
-        edge_type=meta["edge_type"],
-        warning=meta.get("warning"),
-        fraction=meta.get("fraction"),
-    )
-
-
 def link_prediction_eval(split: LinkSplit, emb: EmbeddingTable) -> AucReport:
     """AUC over removed edges vs the split's sampled non-edges."""
     if len(split.removed_edges) == 0:
@@ -291,6 +274,9 @@ def link_prediction_eval(split: LinkSplit, emb: EmbeddingTable) -> AucReport:
         ),
         n_pos=len(split.removed_edges),
         n_neg=len(split.sampled_non_edges),
+        isolated_pairs=_isolated_pairs(
+            split.train_graph, split.removed_edges, split.sampled_non_edges
+        ),
         warning=split.warning,
     )
 

@@ -15,7 +15,6 @@ NEGATIVES = 3
 SHUFFLE = 4
 SPLITS = 5
 NONEDGES = 6
-SWEEP = 7
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -1,12 +1,15 @@
-"""CLI behavior: exit codes, outputs, env overrides, determinism."""
+"""CLI behavior: exit codes, outputs, flag checks, determinism."""
 
 import json
 
 import numpy as np
 import pytest
 
+from hyperwalk import seeding
 from hyperwalk.cli import main
+from hyperwalk.evaluation import make_link_split
 from hyperwalk.graph import TypedGraph
+from hyperwalk.synthetic import two_block_graph
 
 
 @pytest.fixture
@@ -86,27 +89,27 @@ def test_train_multi_dim_outputs(graph_files, tmp_path):
     assert (out / "embeddings_d3.tsv").exists()
 
 
-def test_env_var_overrides_default(graph_files, tmp_path, monkeypatch):
+def test_dims_lists_are_checked(graph_files, tmp_path, capsys):
     nodes, edges = graph_files
-    monkeypatch.setenv("HYPERWALK_EPOCHS", "2")
-    out = tmp_path / "env"
-    rc = main(["train", "--nodes", nodes, "--edges", edges, "--out", str(out),
-               "--dim", "2", "--walks", "2", "--walk-length", "10", "--negatives", "3"])
-    assert rc == 0
-    log = (out / "train_log.jsonl").read_text().splitlines()
-    assert len(log) == 2
-    assert json.loads((out / "manifest.json").read_text())["config"]["epochs"] == 2
-
-
-def test_flag_beats_env_var(graph_files, tmp_path, monkeypatch):
-    nodes, edges = graph_files
-    monkeypatch.setenv("HYPERWALK_EPOCHS", "4")
-    out = tmp_path / "flag"
-    rc = main(["train", "--nodes", nodes, "--edges", edges, "--out", str(out),
-               "--dim", "2", "--epochs", "1", "--walks", "2", "--walk-length", "10",
-               "--negatives", "3"])
-    assert rc == 0
-    assert len((out / "train_log.jsonl").read_text().splitlines()) == 1
+    run = tmp_path / "t"
+    assert main(["train", "--nodes", nodes, "--edges", edges, "--out", str(run),
+                 "--dim", "2", *fast_flags()]) == 0
+    emb = str(run / "embeddings.tsv")
+    capsys.readouterr()
+    for dims, n_files in (("2", 2), ("2,2", 1)):
+        rc = main(["reconstruct", "--nodes", nodes, "--edges", edges, "--out", str(tmp_path / "r"),
+                   "--dims", dims, *["--embeddings", emb] * n_files])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: ValueError:" in err
+        assert f"{len(dims.split(','))} dimensions for {n_files} --embeddings" in err
+    for command in (["train"], ["linkpred", "--edge-type", "A-B"]):
+        out = tmp_path / command[0]
+        rc = main([*command, "--nodes", nodes, "--edges", edges, "--out", str(out),
+                   "--dims", ",", *fast_flags()])
+        assert rc == 1
+        assert "error: ValueError: --dims ',' lists no dimension" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_reconstruct_reports_auc(graph_files, tmp_path, capsys):
@@ -135,23 +138,24 @@ def test_linkpred_writes_split_and_report(graph_files, tmp_path):
     assert reports[0]["n_pos"] == reports[0]["n_neg"] > 0
 
 
-def test_linkpred_reuses_only_a_matching_split(graph_files, tmp_path, capsys):
-    nodes, edges = graph_files
-    out = tmp_path / "lp"
+def test_linkpred_split_follows_the_seed(tmp_path):
+    g = two_block_graph(np.random.default_rng(0), sizes=(30, 6, 30))
 
-    def linkpred(fraction):
-        return main(["linkpred", "--nodes", nodes, "--edges", edges, "--out", str(out),
-                     "--edge-type", "A-B", "--fraction", fraction, "--dim", "2", *fast_flags()])
+    def split_at(seed):
+        rng = seeding.substream(seed, seeding.SPLITS)
+        return make_link_split(g, "A-B", 0.2, rng=rng).removed_edges
 
-    assert linkpred("0.2") == 0
-    split = (out / "split" / "removed_edges.tsv").read_bytes()
-    assert json.loads((out / "split" / "split.json").read_text())["fraction"] == 0.2
-    assert linkpred("0.2") == 0  # same flags: the stored split is reused
-    assert (out / "split" / "removed_edges.tsv").read_bytes() == split
-    capsys.readouterr()
-    assert linkpred("0.5") == 1
-    err = capsys.readouterr().err
-    assert "error: ValueError:" in err and "0.2" in err and "0.5" in err
+    assert not np.array_equal(split_at(0), split_at(7))
+    nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    g.save(nodes, edges)
+
+    def linkpred(out, seed):
+        assert main(["linkpred", "--nodes", str(nodes), "--edges", str(edges), "--out", str(out),
+                     "--edge-type", "A-B", "--seed", seed, "--dim", "2", *fast_flags()]) == 0
+        return (out / "split" / "removed_edges.tsv").read_bytes()
+
+    linkpred(tmp_path / "shared", "0")
+    assert linkpred(tmp_path / "shared", "7") == linkpred(tmp_path / "fresh", "7")
 
 
 def test_project_exports_disk_coordinates(graph_files, tmp_path):
@@ -189,12 +193,16 @@ def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
     assert rc == 1
 
 
-def test_train_runs_are_byte_identical(graph_files, tmp_path):
+def test_train_runs_are_byte_identical(graph_files, tmp_path, monkeypatch):
     nodes, edges = graph_files
     outs = []
     for name in ("r1", "r2"):
+        if name == "r2":  # only flags set a run: the environment does not
+            monkeypatch.setenv("HYPERWALK_EPOCHS", "2")
         out = tmp_path / name
+        # no --epochs flag, so both runs take the default
         assert main(["train", "--nodes", nodes, "--edges", edges, "--out", str(out),
-                     "--dim", "2", "--seed", "7", *fast_flags()]) == 0
+                     "--dim", "2", "--seed", "7", "--walks", "2", "--walk-length", "10",
+                     "--negatives", "3"]) == 0
         outs.append((out / "embeddings.tsv").read_bytes())
     assert outs[0] == outs[1]

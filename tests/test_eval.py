@@ -1,5 +1,6 @@
 """Reconstruction/link-prediction AUC, splits, regions, projection."""
 
+import json
 from collections import deque
 
 import numpy as np
@@ -11,8 +12,8 @@ from hyperwalk import lorentz
 from hyperwalk.evaluation import (
     auc,
     export_projection,
+    LinkSplit,
     link_prediction_eval,
-    load_link_split,
     make_link_split,
     reconstruct,
     region_stats,
@@ -152,6 +153,26 @@ def test_reconstruct_flags_sampled_negatives(rng):
     assert rep.negatives_sampled and rep.n_neg == 2
 
 
+def test_reports_count_pairs_that_touch_an_isolated_node(rng):
+    # a3 has no edge, so all 3 of its A-B pairs are among the 8 non-edges
+    nodes = [(f"a{i}", "A") for i in range(4)] + [(f"b{i}", "B") for i in range(3)]
+    g = TypedGraph(nodes, [(0, 4), (1, 5), (2, 6), (0, 5)])
+    emb = embed_at(random_points(rng, 7, 2))
+    rep = reconstruct(g, emb, "A-B")
+    assert not rep.negatives_sampled
+    assert (rep.n_pos, rep.n_neg, rep.isolated_pairs) == (4, 8, 3)
+    # link prediction counts on the train graph it was trained on
+    split = LinkSplit(
+        train_graph=g,
+        removed_edges=np.array([[1, 4]]),
+        sampled_non_edges=np.array([[3, 4], [2, 4]]),
+        edge_type="A-B",
+        fraction=0.2,
+    )
+    rep = link_prediction_eval(split, emb)
+    assert (rep.n_pos, rep.n_neg, rep.isolated_pairs) == (1, 2, 1)
+
+
 # --- link splits ----------------------------------------------------------
 
 
@@ -223,13 +244,32 @@ def test_split_preserves_component_count(rng):
 def test_split_roundtrip(tmp_path, rng):
     g = cycle_graph(12)
     split = make_link_split(g, "X-X", 0.25, rng=rng)
-    save_link_split(split, tmp_path / "split", g)
-    again = load_link_split(tmp_path / "split", g)
-    np.testing.assert_array_equal(
-        np.sort(np.asarray(again.removed_edges), axis=None),
-        np.sort(np.asarray(split.removed_edges), axis=None),
-    )
-    assert again.train_graph.n_edges == split.train_graph.n_edges
+    out = tmp_path / "split"
+    save_link_split(split, out, g)
+
+    def rows(pairs):
+        return [f"{g.node_ids[u]}\t{g.node_ids[v]}" for u, v in pairs]
+
+    assert (out / "removed_edges.tsv").read_text().splitlines() == rows(split.removed_edges)
+    assert (out / "non_edges.tsv").read_text().splitlines() == rows(split.sampled_non_edges)
+    assert (out / "train_nodes.tsv").read_text().splitlines() == [
+        f"{nid}\tX" for nid in g.node_ids
+    ]
+    assert (out / "train_edges.tsv").read_text().splitlines() == [
+        f"{r}\tX-X" for r in rows(split.train_graph.edges)
+    ]
+    assert json.loads((out / "split.json").read_text()) == {
+        "edge_type": "X-X", "fraction": 0.25, "warning": split.warning
+    }
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.5])
+def test_split_rejects_a_fraction_outside_unit_interval(fraction):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="fraction"):
+        make_link_split(two_block_graph(np.random.default_rng(0)), "A-B", fraction, rng=rng)
+    assert rng.bit_generator.state == state  # rejected before any draw
 
 
 # --- the split against the greedy one-search-per-edge reference ----------
