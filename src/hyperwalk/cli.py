@@ -150,8 +150,8 @@ def cmd_linkpred(args) -> int:
     dims = _dims(args)
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
+    split = _split(args, g)  # checks --edge-type and --fraction
     _write_manifest(args, "linkpred")
-    split = _split(args, g)
     save_link_split(split, out / "split", g)
     wcfg, tcfg = _pipeline_configs(args)
     tg = split.train_graph
@@ -181,12 +181,14 @@ SWEEPABLE = {
 def cmd_sweep(args) -> int:
     if args.param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {args.param!r}; choose from {sorted(SWEEPABLE)}")
-    g = load_graph(args.nodes, args.edges)
-    out = Path(args.out)
-    _write_manifest(args, "sweep")
     attr, cast = SWEEPABLE[args.param]
     values = [cast(x) for x in str(args.values).split(",") if x]
-    split = _split(args, g)
+    if not values:
+        raise ValueError(f"--values {args.values!r} lists no value")
+    g = load_graph(args.nodes, args.edges)
+    out = Path(args.out)
+    split = _split(args, g)  # checks --edge-type and --fraction
+    _write_manifest(args, "sweep")
     tg = split.train_graph
     records = []
     for value in values:

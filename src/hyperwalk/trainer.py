@@ -7,9 +7,12 @@ For each positive pair (u, v) with negatives M, the per-pair loss is
 evaluated with a log-sum-exp shift. Gradients flow through the squared
 hyperbolic distance (smooth at coincidence), get projected onto tangent
 spaces, and every touched point takes one exact exponential-map step per
-batch, followed by re-normalization onto the manifold. Each epoch's log
-record carries ``max_manifold_drift``, the largest |<x,x>_M + 1| of an
-updated point before that re-normalization.
+batch, followed by re-normalization onto the manifold. A batch gathers,
+sums and updates only the rows it touches, so its cost follows the batch
+size, not the number of nodes. Each epoch's log record carries
+``max_manifold_drift``, the largest |<x,x>_M + 1| of an updated point before
+that re-normalization, and ``noise_collision_share``, the share of noise
+draws equal to the anchor or its positive partner.
 """
 
 from __future__ import annotations
@@ -189,12 +192,16 @@ def train(
     """SGD over a seed-shuffled pair multiset; returns (table, epoch log).
 
     Per batch: fresh noise negatives, gradients summed per node, one
-    exponential-map step per touched node, then re-normalization.
+    exponential-map step per touched node, then re-normalization. The
+    per-batch cost scales with the rows the batch touches, not with
+    ``g.n_nodes``; only one scan of an n_nodes-long boolean mark is not.
     Negatives are plain word2vec-style noise drawn from
     ``corpus.noise_table``, i.e. in proportion to frequency**0.75: nothing
     is rejected, so a negative may be one of the anchor's positives or the
     anchor itself. Each epoch record holds ``epoch``, ``mean_loss``,
-    ``wall_time_s`` and ``max_manifold_drift``.
+    ``wall_time_s``, ``max_manifold_drift`` and ``noise_collision_share``
+    (the share of the epoch's noise draws that equal the anchor or its
+    positive partner).
     Fully deterministic for a fixed cfg.seed.
     """
     if len(corpus) == 0:
@@ -209,20 +216,27 @@ def train(
     k = cfg.negatives_per_positive
     noise = corpus.noise_table
     pairs = corpus.pairs
+    # reused by every batch: seen marks the rows a batch touches (and is
+    # cleared after), slot maps a touched node to its row in the batch's sums
+    seen = np.zeros(g.n_nodes, dtype=bool)
+    slot = np.empty(g.n_nodes, dtype=np.int64)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(pairs))
         loss_sum = 0.0
         max_drift = 0.0
+        collisions = 0
         for b0 in range(0, len(order), cfg.batch_size):
             idx = order[b0 : b0 + cfg.batch_size]
             u_idx = pairs[idx, 0]
             v_idx = pairs[idx, 1]
             negs = noise.sample(neg_rng, size=(idx.size, k))
+            hits = (negs == u_idx[:, None]) | (negs == v_idx[:, None])
+            collisions += int(np.count_nonzero(hits))
             w_idx = np.concatenate([v_idx[:, None], negs], axis=1)
-            U = coords[u_idx]
-            W = coords[w_idx]
+            U = np.take(coords, u_idx, axis=0)
+            W = np.take(coords, w_idx, axis=0)
             loss, _, grad_u, grad_w = _pair_terms(U, W)
             batch_loss = float(loss.sum())
             if not np.isfinite(batch_loss):
@@ -234,13 +248,18 @@ def train(
             # O(lr) no matter how often a hub appears in the batch
             flat_idx = np.concatenate([u_idx, w_idx.ravel()])
             flat_grad = np.concatenate([grad_u, grad_w.reshape(-1, dim + 1)])
-            acc_full = np.empty((g.n_nodes, dim + 1))
-            for j in range(dim + 1):  # bincount beats ufunc.at by a wide margin
-                acc_full[:, j] = np.bincount(flat_idx, weights=flat_grad[:, j], minlength=g.n_nodes)
-            counts = np.bincount(flat_idx, minlength=g.n_nodes)
-            touched = np.flatnonzero(counts)
-            acc = acc_full[touched] / counts[touched, None]
-            x = coords[touched]
+            seen[flat_idx] = True
+            touched = np.flatnonzero(seen)  # ascending node order
+            seen[touched] = False
+            slot[touched] = np.arange(touched.size)
+            flat_slot = slot[flat_idx]
+            # a bincount per column adds each node's terms in batch order, over
+            # the touched rows only: its length does not grow with n_nodes
+            acc = np.empty((touched.size, dim + 1))
+            for j in range(dim + 1):
+                acc[:, j] = np.bincount(flat_slot, weights=flat_grad[:, j], minlength=touched.size)
+            acc /= np.bincount(flat_slot, minlength=touched.size)[:, None]
+            x = np.take(coords, touched, axis=0)
             step = lorentz.project_to_tangent(x, -cfg.lr * acc)
             moved = lorentz.exp_map(x, step, check_tangent=False)
             if not np.all(np.isfinite(moved)):
@@ -260,6 +279,7 @@ def train(
                 "mean_loss": loss_sum / len(pairs),
                 "wall_time_s": time.perf_counter() - t0,
                 "max_manifold_drift": max_drift,
+                "noise_collision_share": collisions / (len(pairs) * k),
             }
         )
     return table, history

@@ -193,6 +193,26 @@ def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["linkpred", "--edge-type", "A-B", "--fraction", "1.5"],
+         "ValueError: fraction must be in (0, 1], got 1.5"),
+        (["sweep", "--edge-type", "no-such-type", "--param", "window", "--values", "1"],
+         "GraphError: unknown edge type 'no-such-type'"),
+        (["sweep", "--edge-type", "A-B", "--param", "window", "--values", ","],
+         "ValueError: --values ',' lists no value"),
+    ],
+)
+def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, message):
+    nodes, edges = graph_files
+    out = tmp_path / "o"
+    rc = main([*argv, "--nodes", nodes, "--edges", edges, "--out", str(out), *fast_flags()])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_train_runs_are_byte_identical(graph_files, tmp_path, monkeypatch):
     nodes, edges = graph_files
     outs = []

@@ -47,6 +47,41 @@ def test_poincare_distance_half_radius_point():
     assert d == pytest.approx(np.log(3.0), abs=1e-12)
 
 
+# --- fast paths -------------------------------------------------------------
+
+
+def test_exp_map_mixed_batch_equals_separate_calls():
+    # zero and tiny rows take the first-order series, ordinary rows the closed
+    # form; a batch mixing them must give each row the bits of its own path
+    rng = np.random.default_rng(3)
+    d = 10
+    x = np.stack([random_point(rng, d, scale=1.5) for _ in range(9)])
+    u = np.stack([random_tangent(rng, xi, scale=1.0) for xi in x])
+    u[1] = 0.0
+    u[4] *= 1e-11 / np.sqrt(lorentz.minkowski_inner(u[4], u[4]))
+    u[7] *= 3e-9 / np.sqrt(lorentz.minkowski_inner(u[7], u[7]))
+    small = np.zeros(9, dtype=bool)
+    small[[1, 4, 7]] = True
+    norms = np.sqrt(np.clip(lorentz.minkowski_inner(u, u), 0.0, None))
+    assert np.array_equal(norms < 1e-8, small)
+    mixed = lorentz.exp_map(x, u, check_tangent=False)
+    assert np.array_equal(mixed[small], lorentz.exp_map(x[small], u[small], check_tangent=False))
+    assert np.array_equal(mixed[~small], lorentz.exp_map(x[~small], u[~small], check_tangent=False))
+    assert np.array_equal(mixed[1], x[1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 9, 10, 16, 25])
+def test_minkowski_inner_equals_the_sliced_formula_bitwise(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(257, d + 1)) * rng.uniform(0.1, 100.0, size=(257, 1))
+    y = rng.normal(size=(257, d + 1))
+    sliced = np.sum(x[..., :-1] * y[..., :-1], axis=-1) - x[..., -1] * y[..., -1]
+    assert np.array_equal(lorentz.minkowski_inner(x, y), sliced)
+    one = lorentz.minkowski_inner(x[5], y[5])
+    assert type(one) is float
+    assert one == np.sum(x[5, :-1] * y[5, :-1]) - x[5, -1] * y[5, -1]
+
+
 # --- properties -----------------------------------------------------------
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hyperwalk import lorentz
+from hyperwalk import lorentz, seeding, trainer
 from hyperwalk.corpus import build_corpus
 from hyperwalk.graph import TypedGraph
 from hyperwalk.seeding import substream
@@ -17,6 +17,7 @@ from hyperwalk.trainer import (
     pair_softmax,
     train,
 )
+from hyperwalk.walk import WalkConfig, generate_walks
 from tests.conftest import random_point
 
 
@@ -255,3 +256,94 @@ def test_training_pulls_linked_nodes_together():
     within = lorentz.hyperbolic_distance(table.point(0), table.point(1))
     across = lorentz.hyperbolic_distance(table.point(0), table.point(3))
     assert within < across
+
+
+def test_noise_collision_share_counts_draws_equal_to_anchor_or_partner():
+    # one edge, two nodes: every noise draw is the anchor or its partner
+    g = TypedGraph([("a", "A"), ("b", "B")], [(0, 1)])
+    corpus = build_corpus([[0, 1, 0, 1]], window=1, n_nodes=2)
+    cfg = TrainConfig(batch_size=2, epochs=2, negatives_per_positive=3, seed=0)
+    _, history = train(g, corpus, cfg, dim=2)
+    assert [h["noise_collision_share"] for h in history] == [1.0, 1.0]
+
+
+# --- the dense scatter the trainer used before it summed touched rows only ---
+
+
+def dense_scatter_train(g, corpus, cfg, dim):
+    """Reference: train's batch loop with an (n_nodes, dim + 1) scatter array
+    and n_nodes-long bincounts per batch, plus a pair-by-pair count of noise
+    collisions. Returns (coords, history without wall_time_s)."""
+    coords = init_embeddings(g, dim, cfg.init_scale, substream(cfg.seed, seeding.INIT)).coords
+    neg_rng = substream(cfg.seed, seeding.NEGATIVES)
+    shuffle_rng = substream(cfg.seed, seeding.SHUFFLE)
+    k = cfg.negatives_per_positive
+    pairs = corpus.pairs
+    history = []
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(pairs))
+        loss_sum = 0.0
+        max_drift = 0.0
+        collisions = 0
+        for b0 in range(0, len(order), cfg.batch_size):
+            idx = order[b0 : b0 + cfg.batch_size]
+            u_idx = pairs[idx, 0]
+            v_idx = pairs[idx, 1]
+            negs = corpus.noise_table.sample(neg_rng, size=(idx.size, k))
+            for u, v, row in zip(u_idx, v_idx, negs):
+                collisions += sum(n in (u, v) for n in row)
+            w_idx = np.concatenate([v_idx[:, None], negs], axis=1)
+            loss, _, grad_u, grad_w = trainer._pair_terms(coords[u_idx], coords[w_idx])
+            flat_idx = np.concatenate([u_idx, w_idx.ravel()])
+            flat_grad = np.concatenate([grad_u, grad_w.reshape(-1, dim + 1)])
+            acc_full = np.empty((g.n_nodes, dim + 1))
+            for j in range(dim + 1):
+                acc_full[:, j] = np.bincount(flat_idx, weights=flat_grad[:, j], minlength=g.n_nodes)
+            counts = np.bincount(flat_idx, minlength=g.n_nodes)
+            touched = np.flatnonzero(counts)
+            acc = acc_full[touched] / counts[touched, None]
+            x = coords[touched]
+            step = lorentz.project_to_tangent(x, -cfg.lr * acc)
+            moved = lorentz.exp_map(x, step, check_tangent=False)
+            normalized = lorentz.normalize(moved)
+            drift = np.abs(normalized[:, -1] ** 2 - moved[:, -1] ** 2)
+            max_drift = max(max_drift, float(drift.max()))
+            coords[touched] = normalized
+            loss_sum += float(loss.sum())
+        history.append(
+            {
+                "epoch": epoch,
+                "mean_loss": loss_sum / len(pairs),
+                "max_manifold_drift": max_drift,
+                "noise_collision_share": collisions / (len(pairs) * k),
+            }
+        )
+    return coords, history
+
+
+def test_train_matches_dense_scatter_reference():
+    # hub a0 sits in most windows, so it appears many times in each batch;
+    # a9, b30 and c0 have no edge, so no pair or noise draw touches them
+    nodes = [(f"a{i}", "A") for i in range(10)] + [(f"b{i}", "B") for i in range(31)]
+    nodes += [("c0", "C")]
+    edges = [(0, 10 + i) for i in range(24)]
+    edges += [(1 + i % 8, 10 + (7 * i) % 24) for i in range(16)]
+    g = TypedGraph(nodes, edges)
+    isolated = [9, 40, 41]
+    assert all(g.degrees()[v] == 0 for v in isolated)
+    walks = generate_walks(g, WalkConfig(walks_per_node=3, walk_length=12, seed=5))
+    corpus = build_corpus(walks, window=3, n_nodes=g.n_nodes)
+    cfg = TrainConfig(lr=0.3, batch_size=64, epochs=2, negatives_per_positive=5, seed=11)
+    assert len(corpus) % cfg.batch_size != 0  # a partial last batch
+    hub_rows_per_batch = np.count_nonzero(corpus.pairs == 0) / len(corpus) * cfg.batch_size
+    assert hub_rows_per_batch > 8
+
+    table, history = train(g, corpus, cfg, dim=3)
+    ref_coords, ref_history = dense_scatter_train(g, corpus, cfg, 3)
+    assert np.array_equal(table.coords, ref_coords)
+    for h, ref in zip(history, ref_history, strict=True):
+        assert {key: value for key, value in h.items() if key != "wall_time_s"} == ref
+    assert 0.0 < history[0]["noise_collision_share"] < 1.0
+    init = init_embeddings(g, 3, cfg.init_scale, substream(cfg.seed, seeding.INIT))
+    assert np.array_equal(table.coords[isolated], init.coords[isolated])
+    assert not np.array_equal(table.coords[0], init.coords[0])
