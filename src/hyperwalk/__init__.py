@@ -15,7 +15,7 @@ from .evaluation import (
     reconstruct,
     region_stats,
 )
-from .graph import TypedGraph, degree_stats, load_graph, neighbors_by_type
+from .graph import TypedGraph, load_graph
 from .trainer import EmbeddingTable, TrainConfig, init_embeddings, train
 from .walk import WalkConfig, generate_walks, self_guided_walk, transition_distribution
 
@@ -27,13 +27,11 @@ __all__ = [
     "WalkConfig",
     "auc",
     "build_corpus",
-    "degree_stats",
     "generate_walks",
     "init_embeddings",
     "link_prediction_eval",
     "load_graph",
     "make_link_split",
-    "neighbors_by_type",
     "reconstruct",
     "region_stats",
     "self_guided_walk",

@@ -91,6 +91,8 @@ def _write_manifest(args, command: str) -> None:
 
 
 def _pipeline_configs(args):
+    if args.window < 1:
+        raise ValueError(f"window must be >= 1, got {args.window}")
     wcfg = WalkConfig(walks_per_node=args.walks, walk_length=args.walk_length, seed=args.seed)
     tcfg = TrainConfig(
         lr=args.lr,
@@ -104,10 +106,10 @@ def _pipeline_configs(args):
 
 def cmd_train(args) -> int:
     dims = _dims(args)
+    wcfg, tcfg = _pipeline_configs(args)
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
     _write_manifest(args, "train")
-    wcfg, tcfg = _pipeline_configs(args)
     walks = generate_walks(g, wcfg)
     if args.dump_walks:
         dump_walks(walks, g, args.dump_walks)
@@ -148,12 +150,12 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_linkpred(args) -> int:
     dims = _dims(args)
+    wcfg, tcfg = _pipeline_configs(args)
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
     split = _split(args, g)  # checks --edge-type and --fraction
     _write_manifest(args, "linkpred")
     save_link_split(split, out / "split", g)
-    wcfg, tcfg = _pipeline_configs(args)
     tg = split.train_graph
     walks = generate_walks(tg, wcfg)
     corpus = build_corpus(walks, args.window, tg.n_nodes)
@@ -178,6 +180,9 @@ SWEEPABLE = {
 }
 
 
+SWEEP_RECORD = ("walks", "walk_length", "window", "negatives", "lr", "batch", "epochs", "seed")
+
+
 def cmd_sweep(args) -> int:
     if args.param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {args.param!r}; choose from {sorted(SWEEPABLE)}")
@@ -185,17 +190,17 @@ def cmd_sweep(args) -> int:
     values = [cast(x) for x in str(args.values).split(",") if x]
     if not values:
         raise ValueError(f"--values {args.values!r} lists no value")
+    runs = [argparse.Namespace(**(vars(args) | {attr: value})) for value in values]
+    configs = [_pipeline_configs(run) for run in runs]  # every value, before any output
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
     split = _split(args, g)  # checks --edge-type and --fraction
     _write_manifest(args, "sweep")
     tg = split.train_graph
     records = []
-    for value in values:
-        setattr(args, attr, value)
-        wcfg, tcfg = _pipeline_configs(args)
+    for value, run, (wcfg, tcfg) in zip(values, runs, configs):
         walks = generate_walks(tg, wcfg)
-        corpus = build_corpus(walks, args.window, tg.n_nodes)
+        corpus = build_corpus(walks, run.window, tg.n_nodes)
         table, _ = train(tg, corpus, tcfg, args.dim)
         report = link_prediction_eval(split, table)
         records.append(
@@ -204,16 +209,7 @@ def cmd_sweep(args) -> int:
                 "value": value,
                 "auc": report.auc,
                 "dimension": args.dim,
-                "config": {
-                    "walks": wcfg.walks_per_node,
-                    "walk_length": wcfg.walk_length,
-                    "window": args.window,
-                    "negatives": tcfg.negatives_per_positive,
-                    "lr": tcfg.lr,
-                    "batch": tcfg.batch_size,
-                    "epochs": tcfg.epochs,
-                    "seed": args.seed,
-                },
+                "config": {key: getattr(run, key) for key in SWEEP_RECORD},
             }
         )
     with open(out / "sweep.json", "w", encoding="utf-8") as f:
@@ -225,15 +221,17 @@ def cmd_sweep(args) -> int:
 def cmd_project(args) -> int:
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
-    _write_manifest(args, "project")
     emb = load_embeddings_for_graph(args.embeddings, g)
-    export_projection(emb, out / "projection.tsv", g)
-    if args.region_type:
+    report = None
+    if args.region_type:  # region_stats checks --region-type and --boundaries
         boundaries = [float(x) for x in str(args.boundaries).split(",") if x]
-        report = region_stats(g, emb, args.region_type, boundaries)
+        report = region_stats(g, emb, args.region_type, boundaries).to_dict()
+    _write_manifest(args, "project")
+    export_projection(emb, out / "projection.tsv", g)
+    if report is not None:
         with open(out / "regions.json", "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2)
-        print(json.dumps(report.to_dict(), indent=2))
+            json.dump(report, f, indent=2)
+        print(json.dumps(report, indent=2))
     return 0
 
 

@@ -307,14 +307,16 @@ def region_stats(
     Each node goes to the first band whose upper boundary is >= its
     hyperbolic distance to the disk origin (measured on the projected
     Poincare ball); nodes beyond the last boundary land in an overflow
-    bucket.
+    bucket. Boundaries must be a non-empty, strictly increasing list.
     """
+    bounds = [float(b) for b in boundaries]
+    if not bounds or not all(a < b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"boundaries must be non-empty and strictly increasing, got {bounds}")
     nt = g.node_type(t)
     nodes = g.nodes_of_type(nt)
     p = lorentz.to_poincare(emb.coords[nodes])
     radius = np.asarray(lorentz.poincare_distance(np.zeros(p.shape[1]), p))
     degrees = g.degrees()[nodes].astype(np.float64)
-    bounds = list(boundaries)
     band = np.searchsorted(bounds, radius, side="left")
     report = RegionReport(node_type=nt.label, boundaries=bounds)
     for i, ub in enumerate(bounds):

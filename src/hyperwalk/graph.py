@@ -4,6 +4,11 @@ Nodes carry a type (author, paper, ...); edges are undirected and get an
 edge type inferred from the unordered pair of endpoint types unless an
 explicit edge-type label is supplied. Node ids are opaque strings
 externally and dense integers internally.
+
+``adjacency`` holds both directions of every edge, sorted by (node, neighbor type),
+in edge order within a group. Node v's non-empty groups, in type-id order, are
+``node_groups[v]:node_groups[v + 1]``; group i holds ``adjacency[group_offsets[i]:
+group_offsets[i + 1]]``, the neighbors of type ``group_types[i]``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ class EdgeType:
 
 
 class TypedGraph:
-    """Immutable heterogeneous graph with type-partitioned adjacency.
+    """Immutable heterogeneous graph with type-grouped adjacency.
+
+    Self-loops are dropped and duplicate edges collapse to their first occurrence.
 
     Parameters
     ----------
@@ -43,55 +50,67 @@ class TypedGraph:
 
     def __init__(self, nodes, edges):
         self.node_ids: list[str] = []
-        seen_ids: dict[str, int] = {}
-        type_by_label: dict[str, NodeType] = {}
+        self._index_of: dict[str, int] = {}
+        type_id: dict[str, int] = {}
         node_type_ids = []
         for node_id, label in nodes:
-            if node_id in seen_ids:
+            if node_id in self._index_of:
                 raise GraphError(f"duplicate node id {node_id!r}")
-            seen_ids[node_id] = len(self.node_ids)
+            self._index_of[node_id] = len(self.node_ids)
             self.node_ids.append(node_id)
-            if label not in type_by_label:
-                type_by_label[label] = NodeType(len(type_by_label), label)
-            node_type_ids.append(type_by_label[label].id)
-        self.node_types: list[NodeType] = sorted(type_by_label.values(), key=lambda t: t.id)
+            node_type_ids.append(type_id.setdefault(label, len(type_id)))
+        self.node_types = [NodeType(i, label) for label, i in type_id.items()]
         self.node_type_of = np.asarray(node_type_ids, dtype=np.int64)
-        self._index_of = seen_ids
 
-        edge_type_by_label: dict[str, EdgeType] = {}
-        pair_to_auto_label: dict[tuple[int, int], str] = {}
-        canon_edges: dict[tuple[int, int], int] = {}
-        self.duplicate_edges = 0
-        self.self_loops_dropped = 0
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
-            if not (0 <= u < len(self.node_ids) and 0 <= v < len(self.node_ids)):
-                raise GraphError(f"edge ({u}, {v}) references a node index out of range")
-            label = e[2] if len(e) > 2 else None
-            if u == v:
-                self.self_loops_dropped += 1
-                continue
-            tu, tv = int(self.node_type_of[u]), int(self.node_type_of[v])
-            pair = (min(tu, tv), max(tu, tv))
+        # the only per-edge Python: read the caller's tuples, numbering their labels
+        # (None, meaning "infer", among them) in first-seen order
+        code_of_label: dict = {}
+        rows = [
+            (e[0], e[1], code_of_label.setdefault(e[2] if len(e) > 2 else None, len(code_of_label)))
+            for e in edges
+        ]
+        u, v, label_code = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+        n = len(self.node_ids)
+        bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+        if bad.size:
+            raise GraphError(f"edge ({u[bad[0]]}, {v[bad[0]]}) references a node index out of range")
+        kept = np.flatnonzero(u != v)
+        lo, hi = np.minimum(u, v)[kept], np.maximum(u, v)[kept]
+        n_types = len(self.node_types)
+        t_lo, t_hi = self.node_type_of[lo], self.node_type_of[hi]
+        pair = np.minimum(t_lo, t_hi) * n_types + np.maximum(t_lo, t_hi)
+
+        # name each distinct (label, type pair) in first-seen order; None takes the
+        # pair's label, and a label met again with another pair contradicts its type
+        raw_labels = list(code_of_label)
+        combo = label_code[kept] * n_types**2 + pair
+        combos, combo_first, combo_of_edge = np.unique(combo, return_index=True, return_inverse=True)
+        type_of_combo = np.empty(combos.size, dtype=np.int64)
+        types: dict[str, EdgeType] = {}
+        for j in np.argsort(combo_first).tolist():
+            code, p = divmod(int(combos[j]), n_types**2)
+            ends = divmod(p, n_types)
+            label = raw_labels[code]
             if label is None:
-                if pair not in pair_to_auto_label:
-                    la = self.node_types[pair[0]].label
-                    lb = self.node_types[pair[1]].label
-                    pair_to_auto_label[pair] = f"{la}-{lb}"
-                label = pair_to_auto_label[pair]
-            if label not in edge_type_by_label:
-                edge_type_by_label[label] = EdgeType(len(edge_type_by_label), pair, label)
-            et = edge_type_by_label[label]
-            if et.endpoint_types != pair:
+                label = f"{self.node_types[ends[0]].label}-{self.node_types[ends[1]].label}"
+            et = types.setdefault(label, EdgeType(len(types), ends, label))
+            if et.endpoint_types != ends:
+                i = kept[combo_first[j]]
                 raise GraphError(
-                    f"edge ({self.node_ids[u]}, {self.node_ids[v]}) contradicts edge "
-                    f"type {label!r}: expected endpoint types {et.endpoint_types}, got {pair}"
+                    f"edge ({self.node_ids[u[i]]}, {self.node_ids[v[i]]}) contradicts edge "
+                    f"type {label!r}: expected endpoint types {et.endpoint_types}, got {ends}"
                 )
-            key = (min(u, v), max(u, v))
-            if key in canon_edges:
-                self.duplicate_edges += 1
-                continue
-            canon_edges[key] = et.id
+            type_of_combo[j] = et.id
+        self.edge_types: list[EdgeType] = list(types.values())
+        etype = type_of_combo[combo_of_edge]
+
+        # dedup on canonical codes, keeping first occurrences in input order
+        self._edge_codes, first = np.unique(lo * n + hi, return_index=True)
+        first.sort()
+        self.edges = np.stack([lo[first], hi[first]], axis=1)
+        self.edge_type_of = etype[first]
+        self.duplicate_edges = len(kept) - len(first)
+        self.self_loops_dropped = len(u) - len(kept)
         if self.duplicate_edges or self.self_loops_dropped:
             warnings.warn(
                 f"collapsed {self.duplicate_edges} duplicate edge(s), dropped "
@@ -99,24 +118,16 @@ class TypedGraph:
                 stacklevel=2,
             )
 
-        self.edge_types: list[EdgeType] = sorted(edge_type_by_label.values(), key=lambda t: t.id)
-        if canon_edges:
-            items = list(canon_edges.items())
-            self.edges = np.asarray([k for k, _ in items], dtype=np.int64)
-            self.edge_type_of = np.asarray([t for _, t in items], dtype=np.int64)
-        else:
-            self.edges = np.empty((0, 2), dtype=np.int64)
-            self.edge_type_of = np.empty(0, dtype=np.int64)
-
-        # type-grouped adjacency; per-node list of (type_id, neighbor array)
-        grouped: list[dict[int, list[int]]] = [{} for _ in self.node_ids]
-        for (u, v) in self.edges:
-            grouped[u].setdefault(int(self.node_type_of[v]), []).append(int(v))
-            grouped[v].setdefault(int(self.node_type_of[u]), []).append(int(u))
-        self._adj_groups: list[list[tuple[int, np.ndarray]]] = [
-            [(t, np.asarray(ns, dtype=np.int64)) for t, ns in g.items()] for g in grouped
-        ]
-        self._edge_codes = np.sort(self.edges[:, 0] * self.n_nodes + self.edges[:, 1])
+        # type-grouped adjacency: both directions of every edge, stably sorted
+        # by (node, neighbor type), so a group keeps its neighbors in edge order
+        nbr = self.edges[:, ::-1].ravel()
+        key = self.edges.ravel() * n_types + self.node_type_of[nbr]
+        order = np.argsort(key, kind="stable")
+        group_key, group_first = np.unique(key[order], return_index=True)
+        self.adjacency = nbr[order]
+        self.group_offsets = np.append(group_first, order.size)
+        self.group_types = group_key % n_types
+        self.node_groups = np.searchsorted(group_key // n_types, np.arange(n + 1))
 
     @property
     def n_nodes(self) -> int:
@@ -125,10 +136,6 @@ class TypedGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def is_heterogeneous(self) -> bool:
-        return len(self.node_types) + len(self.edge_types) > 2
 
     def node_index(self, node_id: str) -> int:
         try:
@@ -157,17 +164,19 @@ class TypedGraph:
         return self.edge_types[int(label_or_id)]
 
     def adjacency_groups(self, v: int) -> list[tuple[int, np.ndarray]]:
-        """Neighbors of v grouped by neighbor type id, in first-seen order."""
-        return self._adj_groups[v]
+        """Neighbors of v grouped by neighbor type id, in type-id order; a
+        group lists its neighbors in edge order."""
+        first, end = self.node_groups[v], self.node_groups[v + 1]
+        bounds = self.group_offsets[first : end + 1].tolist()
+        return [
+            (t, self.adjacency[lo:hi])
+            for t, lo, hi in zip(self.group_types[first:end].tolist(), bounds, bounds[1:])
+        ]
 
     def neighbors(self, v: int) -> np.ndarray:
-        groups = self._adj_groups[v]
-        if not groups:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([a for _, a in groups])
-
-    def degree(self, v: int) -> int:
-        return sum(a.size for _, a in self._adj_groups[v])
+        """Neighbors of v, grouped as in :meth:`adjacency_groups`; a view."""
+        lo, hi = self.group_offsets[self.node_groups[v : v + 2]]
+        return self.adjacency[lo:hi]
 
     def degrees(self) -> np.ndarray:
         """Degree of every node, indexed by node."""
@@ -203,24 +212,6 @@ class TypedGraph:
                 f.write(
                     f"{self.node_ids[u]}\t{self.node_ids[v]}\t{self.edge_types[t].label}\n"
                 )
-
-
-def neighbors_by_type(g: TypedGraph, v: int, t) -> np.ndarray:
-    """All neighbors of v whose node type is t, in stable (edge-input) order."""
-    t = g.node_type(t)
-    for tid, arr in g.adjacency_groups(v):
-        if tid == t.id:
-            return arr.copy()
-    return np.empty(0, dtype=np.int64)
-
-
-def degree_stats(g: TypedGraph) -> dict[str, dict[int, int]]:
-    """Per-node-type degree histogram: {type_label: {degree: node count}}."""
-    out: dict[str, dict[int, int]] = {t.label: {} for t in g.node_types}
-    for t, d in zip(g.node_type_of.tolist(), g.degrees().tolist()):
-        hist = out[g.node_types[t].label]
-        hist[d] = hist.get(d, 0) + 1
-    return out
 
 
 def _parse_tsv(path):

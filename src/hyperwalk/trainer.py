@@ -26,6 +26,9 @@ from . import lorentz, seeding
 from .corpus import SampleCorpus
 from .graph import TypedGraph
 
+# half-width of the uniform spatial noise of the initial points around the origin
+INIT_SCALE = 1e-3
+
 
 class TrainingDiverged(RuntimeError):
     """Non-finite loss or gradient encountered."""
@@ -37,12 +40,11 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 5
     negatives_per_positive: int = 20
-    init_scale: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr, self.batch_size, self.negatives_per_positive, self.init_scale) <= 0:
-            raise ValueError("lr, batch_size, negatives, init_scale must be positive")
+        if min(self.lr, self.batch_size, self.negatives_per_positive) <= 0:
+            raise ValueError("lr, batch_size, negatives must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -207,7 +209,7 @@ def train(
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     if table is None:
-        table = init_embeddings(g, dim, cfg.init_scale, seeding.substream(cfg.seed, seeding.INIT))
+        table = init_embeddings(g, dim, INIT_SCALE, seeding.substream(cfg.seed, seeding.INIT))
     elif table.dim != dim:
         raise ValueError(f"table dimension {table.dim} != requested {dim}")
     coords = table.coords

@@ -8,8 +8,9 @@ import pytest
 from hyperwalk import seeding
 from hyperwalk.cli import main
 from hyperwalk.evaluation import make_link_split
-from hyperwalk.graph import TypedGraph
+from hyperwalk.graph import TypedGraph, load_graph
 from hyperwalk.synthetic import two_block_graph
+from hyperwalk.trainer import init_embeddings
 
 
 @pytest.fixture
@@ -202,15 +203,39 @@ def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
          "GraphError: unknown edge type 'no-such-type'"),
         (["sweep", "--edge-type", "A-B", "--param", "window", "--values", ","],
          "ValueError: --values ',' lists no value"),
+        (["train", "--lr", "0"], "ValueError: lr, batch_size, negatives must be positive"),
+        (["linkpred", "--edge-type", "A-B", "--negatives", "0"],
+         "ValueError: lr, batch_size, negatives must be positive"),
+        (["sweep", "--edge-type", "A-B", "--param", "batch_size", "--values", "4,0"],
+         "ValueError: lr, batch_size, negatives must be positive"),
+        (["train", "--window", "0"], "ValueError: window must be >= 1, got 0"),
     ],
 )
 def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, message):
     nodes, edges = graph_files
     out = tmp_path / "o"
-    rc = main([*argv, "--nodes", nodes, "--edges", edges, "--out", str(out), *fast_flags()])
+    # argv comes last, so that its flags override fast_flags()
+    rc = main([argv[0], "--nodes", nodes, "--edges", edges, "--out", str(out), *fast_flags(),
+               *argv[1:]])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("boundaries", ["1,0.5", "2,2", ","])
+def test_project_checks_boundaries_before_any_output(graph_files, tmp_path, capsys, boundaries):
+    nodes, edges = graph_files
+    g = load_graph(nodes, edges)
+    emb = tmp_path / "emb.tsv"
+    init_embeddings(g, 2, 1.0, np.random.default_rng(0)).save_tsv(emb, g)
+    out = tmp_path / "p"
+    rc = main(["project", "--nodes", nodes, "--edges", edges, "--out", str(out),
+               "--embeddings", str(emb), "--region-type", "A", "--boundaries", boundaries])
+    assert rc == 1
+    assert "error: ValueError: boundaries must be non-empty and strictly increasing" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_train_runs_are_byte_identical(graph_files, tmp_path, monkeypatch):

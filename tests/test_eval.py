@@ -457,6 +457,18 @@ def test_region_assignment_uses_poincare_radius():
     assert rep.overflow.count == 1
 
 
+def test_region_stats_rejects_boundaries_out_of_order():
+    g = two_block_graph(np.random.default_rng(0), sizes=(30, 6, 30))
+    emb = init_embeddings(g, 2, 1.0, np.random.default_rng(0))
+    # in increasing order, a node goes to the first band whose upper boundary
+    # is >= its radius, and 5 of the 30 A nodes lie beyond radius 1.0
+    rep = region_stats(g, emb, "A", boundaries=[0.5, 1.0])
+    assert [b.count for b in rep.regions] == [9, 16] and rep.overflow.count == 5
+    for bad in ([1.0, 0.5], [0.5, 0.5], []):
+        with pytest.raises(ValueError, match="non-empty and strictly increasing"):
+            region_stats(g, emb, "A", boundaries=bad)
+
+
 def test_export_projection_roundtrip(tmp_path, rng):
     pts = random_points(rng, 5, 2, scale=1.5)
     pts[0] = lorentz.origin(2)

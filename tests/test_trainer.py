@@ -274,7 +274,7 @@ def dense_scatter_train(g, corpus, cfg, dim):
     """Reference: train's batch loop with an (n_nodes, dim + 1) scatter array
     and n_nodes-long bincounts per batch, plus a pair-by-pair count of noise
     collisions. Returns (coords, history without wall_time_s)."""
-    coords = init_embeddings(g, dim, cfg.init_scale, substream(cfg.seed, seeding.INIT)).coords
+    coords = init_embeddings(g, dim, trainer.INIT_SCALE, substream(cfg.seed, seeding.INIT)).coords
     neg_rng = substream(cfg.seed, seeding.NEGATIVES)
     shuffle_rng = substream(cfg.seed, seeding.SHUFFLE)
     k = cfg.negatives_per_positive
@@ -344,6 +344,6 @@ def test_train_matches_dense_scatter_reference():
     for h, ref in zip(history, ref_history, strict=True):
         assert {key: value for key, value in h.items() if key != "wall_time_s"} == ref
     assert 0.0 < history[0]["noise_collision_share"] < 1.0
-    init = init_embeddings(g, 3, cfg.init_scale, substream(cfg.seed, seeding.INIT))
+    init = init_embeddings(g, 3, trainer.INIT_SCALE, substream(cfg.seed, seeding.INIT))
     assert np.array_equal(table.coords[isolated], init.coords[isolated])
     assert not np.array_equal(table.coords[0], init.coords[0])

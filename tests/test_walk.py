@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperwalk import seeding
+from hyperwalk.evaluation import make_link_split
 from hyperwalk.graph import TypedGraph
+from hyperwalk.synthetic import powerlaw_bipartite_graph, two_block_graph
 from hyperwalk.walk import (
     DeadEnd,
     WalkConfig,
@@ -17,6 +20,7 @@ from hyperwalk.walk import (
     self_guided_walk,
     transition_distribution,
 )
+from tests.test_graph import reference_build
 
 
 def start_counts(g, v):
@@ -149,3 +153,52 @@ def test_dump_walks_uses_external_ids(tiny_hetero, tmp_path):
     assert lines[0].split()[0] == "a0"
     ids = set(tiny_hetero.node_ids)
     assert all(tok in ids for line in lines for tok in line.split())
+
+
+def reference_walks(g, cfg):
+    """The per-step walker generate_walks replaced, over the per-node group
+    lists of the per-edge builder (groups in first-seen order)."""
+    nodes = [(nid, g.node_types[t].label) for nid, t in zip(g.node_ids, g.node_type_of)]
+    adj = [
+        [(t, np.asarray(ns)) for t, ns in groups]
+        for groups in reference_build(nodes, g.edges.tolist())["groups"]
+    ]
+    walks = []
+    for node in range(g.n_nodes):
+        for rep in range(cfg.walks_per_node):
+            rng = seeding.substream(cfg.seed, seeding.WALKS, node, rep)
+            walk = [node]
+            counts = np.zeros(len(g.node_types), dtype=np.int64)
+            counts[g.node_type_of[node]] += 1
+            while len(walk) < cfg.walk_length and adj[walk[-1]]:
+                groups = adj[walk[-1]]
+                arr = groups[0][1]
+                if len(groups) > 1:
+                    shift = min(int(counts[t]) for t, _ in groups)
+                    weights = [math.exp(-(int(counts[t]) - shift)) for t, _ in groups]
+                    r = rng.random() * sum(weights)
+                    acc = 0.0
+                    arr = groups[-1][1]
+                    for (_, a), w in zip(groups, weights):
+                        acc += w
+                        if r < acc:
+                            arr = a
+                            break
+                nxt = int(arr[0]) if arr.size == 1 else int(arr[rng.integers(arr.size)])
+                walk.append(nxt)
+                counts[g.node_type_of[nxt]] += 1
+            walks.append(walk)
+    return walks
+
+
+@pytest.mark.parametrize("graph", ["two_block A-B train graph", "powerlaw bipartite"])
+def test_generate_walks_match_the_per_step_reference(graph):
+    if graph == "powerlaw bipartite":
+        g = powerlaw_bipartite_graph(np.random.default_rng(1))
+    else:
+        full = two_block_graph(np.random.default_rng(0))
+        g = make_link_split(full, "A-B", 0.2, rng=seeding.substream(0, seeding.SPLITS)).train_graph
+    cfg = WalkConfig(walks_per_node=2, walk_length=40, seed=3)
+    walks = generate_walks(g, cfg)
+    assert walks == reference_walks(g, cfg)
+    assert all(type(v) is int for w in walks for v in w)
