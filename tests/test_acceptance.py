@@ -12,6 +12,9 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.stats import spearmanr
 
 from hyperwalk import lorentz
 from hyperwalk.cli import main as cli_main
@@ -418,21 +421,37 @@ def test_criterion_09_determinism(tmp_path):
 # --- 10: hierarchy shape --------------------------------------------------
 
 
+def giant_component(g):
+    """Boolean mask of the nodes in g's largest connected component."""
+    adj = coo_matrix((np.ones(g.n_edges), g.edges.T), shape=(g.n_nodes, g.n_nodes))
+    _, label = connected_components(adj, directed=False)
+    return label == np.bincount(label).argmax()
+
+
 def test_criterion_10_hierarchy_shape():
+    # Hubs sit near the disk center: over the authors of the giant component,
+    # hyperbolic radius and degree must be negatively rank-correlated. With no
+    # association, Spearman's rho has standard error about 1/sqrt(n - 1), so
+    # the bar is three standard errors below 0. Authors outside the giant
+    # component are left out: they are few, of degree 1-2, and sit far out
+    # whatever the ordering inside the component.
     t0 = time.perf_counter()
     g = powerlaw_bipartite_graph(np.random.default_rng(1))
     walks = generate_walks(g, WalkConfig(walks_per_node=10, walk_length=80, seed=0))
     corpus = build_corpus(walks, window=5, n_nodes=g.n_nodes)
     table, _ = train(g, corpus, TrainConfig(seed=0), dim=2)
-    rep = region_stats(g, table, "author", boundaries=[2.0, 4.0, 6.0])
-    means = [b.mean_degree for b in rep.regions]
-    counts = [b.count for b in rep.regions]
+    authors = g.nodes_of_type("author")
+    authors = authors[giant_component(g)[authors]]
+    radius = lorentz.hyperbolic_distance(lorentz.origin(2), table.coords[authors])
+    degree = g.degrees()[authors]
+    rho = spearmanr(radius, degree).statistic
+    bar = -3 / math.sqrt(authors.size - 1)
+    shuffled = spearmanr(np.random.default_rng(10).permutation(radius), degree).statistic
+    bands = region_stats(g, table, "author", boundaries=[2.0, 4.0, 6.0]).regions
     elapsed = time.perf_counter() - t0
-    ok = (
-        all(c > 0 for c in counts)
-        and means[0] > means[1] > means[2]
-        and elapsed < 300
-    )
-    msg = report(10, ok, f"region counts {counts}, mean degrees "
-                         f"{[round(m, 3) for m in means]}, {elapsed:.0f}s")
+    ok = rho <= bar and elapsed < 300
+    msg = report(10, ok, f"Spearman rho(radius, degree) over {authors.size} giant-component "
+                         f"authors {rho:.3f} (<= {bar:.3f}; shuffled radii {shuffled:.3f}), "
+                         f"radius bands 2/4/6 counts {[b.count for b in bands]} mean degrees "
+                         f"{[round(b.mean_degree, 3) for b in bands]}, {elapsed:.0f}s")
     assert ok, msg
