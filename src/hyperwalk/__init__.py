@@ -17,7 +17,7 @@ from .evaluation import (
 )
 from .graph import TypedGraph, load_graph
 from .trainer import EmbeddingTable, TrainConfig, init_embeddings, train
-from .walk import WalkConfig, generate_walks, self_guided_walk, transition_distribution
+from .walk import WalkConfig, Walks, generate_walks, transition_distribution
 
 __all__ = [
     "EmbeddingTable",
@@ -25,6 +25,7 @@ __all__ = [
     "TrainConfig",
     "TypedGraph",
     "WalkConfig",
+    "Walks",
     "auc",
     "build_corpus",
     "generate_walks",
@@ -34,7 +35,6 @@ __all__ = [
     "make_link_split",
     "reconstruct",
     "region_stats",
-    "self_guided_walk",
     "train",
     "transition_distribution",
 ]

@@ -131,15 +131,16 @@ def cmd_reconstruct(args) -> int:
             f"--dims lists {len(declared)} dimensions for {len(args.embeddings)} --embeddings files"
         )
     g = load_graph(args.nodes, args.edges)
+    edge_types = [g.edge_type(args.edge_type).label] if args.edge_type else [t.label for t in g.edge_types]
+    tables = [load_embeddings_for_graph(path, g) for path in args.embeddings]
+    for i, (path, emb) in enumerate(zip(args.embeddings, tables)):
+        if declared is not None and emb.dim != declared[i]:
+            raise ValueError(f"{path}: embedding dimension {emb.dim} != declared {declared[i]}")
     out = Path(args.out)
     _write_manifest(args, "reconstruct")
-    edge_types = [args.edge_type] if args.edge_type else [t.label for t in g.edge_types]
     rng = seeding.substream(args.seed, seeding.NONEDGES)
     reports = []
-    for i, emb_path in enumerate(args.embeddings):
-        emb = load_embeddings_for_graph(emb_path, g)
-        if declared is not None and emb.dim != declared[i]:
-            raise ValueError(f"{emb_path}: embedding dimension {emb.dim} != declared {declared[i]}")
+    for emb in tables:
         for et in edge_types:
             reports.append(reconstruct(g, emb, et, max_neg=args.max_neg, rng=rng).to_dict())
     with open(out / "reconstruction.json", "w", encoding="utf-8") as f:

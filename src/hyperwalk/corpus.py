@@ -2,6 +2,9 @@
 
 A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
+:func:`build_corpus` takes the pairs straight from the padded walk matrix
+of a :class:`~hyperwalk.walk.Walks`, a chunk of walks at a time, into one
+preallocated pair array.
 
 Training negatives are frequency-based noise: each is an independent draw
 from ``SampleCorpus.noise_table``, with probability proportional to a
@@ -73,21 +76,46 @@ class SampleCorpus:
 def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
     """Sliding-window pair extraction over all walks.
 
-    For each walk position i, emits ordered pairs (v_i, v_j) for every j != i
-    with |i - j| <= window; revisit self-pairs (v, v) are dropped.
+    ``walks`` is a :class:`~hyperwalk.walk.Walks`. For each walk position i,
+    emits ordered pairs (v_i, v_j) for every j != i with |i - j| <= window;
+    revisit self-pairs (v, v) are dropped. Pairs come in the order (walk,
+    offset j - i, forward (v_i, v_j) then reverse (v_j, v_i), position i).
+    The walk matrix is read a chunk of rows at a time, once to count the
+    pairs and once to write them into one preallocated array.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    us, vs = [], []
-    for w in walks:
-        a = np.asarray(w, dtype=np.int64)
-        for off in range(1, min(window, a.size - 1) + 1):
-            x, y = a[:-off], a[off:]
-            keep = x != y
-            if not keep.all():
-                x, y = x[keep], y[keep]
-            us.extend((x, y))
-            vs.extend((y, x))
-    if not us:
+    m = walks.matrix
+    k = min(window, m.shape[1] - 1)  # offsets that fit in a row
+    if k < 1:
         return SampleCorpus(np.empty((0, 2), dtype=np.int64), n_nodes)
-    return SampleCorpus(np.stack([np.concatenate(us), np.concatenate(vs)], axis=1), n_nodes)
+    rows = max(1, _CHUNK_SLOTS // (k * m.shape[1]))
+    chunks = [m[lo : lo + rows] for lo in range(0, len(m), rows)]
+    pairs = np.empty((sum(2 * np.count_nonzero(_windows(c, k)[2]) for c in chunks), 2), dtype=np.int64)
+    at = 0
+    for c in chunks:
+        x, y, keep = _windows(c, k)
+        # (walk, offset, direction, position, 2); each pair read as one 8-byte
+        # item, so that one boolean mask compresses whole pairs in that order
+        both = np.empty((*y.shape[:2], 2, y.shape[2], 2), dtype=np.int32)
+        both[:, :, 0, :, 0] = both[:, :, 1, :, 1] = x
+        both[:, :, 0, :, 1] = both[:, :, 1, :, 0] = y
+        items = both.view(np.int64)[..., 0]
+        got = items[np.repeat(keep[:, :, None], 2, axis=2)].view(np.int32).reshape(-1, 2)
+        pairs[at : at + len(got)] = got
+        at += len(got)
+    return SampleCorpus(pairs, n_nodes)
+
+
+# pair slots (walks x offsets x positions) per chunk of build_corpus
+_CHUNK_SLOTS = 1 << 20
+
+
+def _windows(rows: np.ndarray, k: int):
+    """Centers x ``(walks, 1, L)``, contexts y ``(walks, k, L)`` at offsets
+    1..k, and which (x, y) make a pair: y is a node and differs from x."""
+    L = rows.shape[1]
+    padded = np.pad(rows, ((0, 0), (0, k)), constant_values=-1)  # padding only follows a walk
+    x = rows[:, None, :]
+    y = np.lib.stride_tricks.sliding_window_view(padded[:, 1:], L, axis=1)
+    return x, y, (y >= 0) & (x != y)

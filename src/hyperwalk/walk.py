@@ -1,19 +1,28 @@
-"""Self-guided random walks.
+"""Self-guided random walks, all walkers advanced in lock step.
 
 The next-step distribution down-weights node types that are already
 frequent in the walk so far: a neighbor of type t is chosen with
 probability proportional to exp(-N_t) / (#neighbors of type t), where N_t
-counts how often type t appears in the current sequence. Equivalently:
-pick a type present in the neighborhood with probability ~ exp(-N_t),
-then a uniform neighbor of that type. Both draws read the graph's flat
-type-grouped adjacency, whose groups come in type-id order; :func:`type_weights`
-computes the type weights for both the sampler and the exact distribution.
+counts how often type t appears in the current sequence, the start node
+included. Equivalently: pick a type present in the neighborhood with
+probability ~ exp(-N_t), then a uniform neighbor of that type.
+
+:func:`generate_walks` advances every walker one step per loop iteration
+over NumPy arrays: a ``(walkers, T)`` type-count matrix holds each walk's
+N_t, and an ``(n * T + 1)`` offset table, built from the graph's
+type-grouped adjacency, locates the neighbors of each (node, type). All
+draws come from one ``substream(seed, WALKS)``. The result is a
+:class:`Walks`, one ``(W, L)`` int32 matrix padded with -1 that reads like a
+list of walks. :func:`transition_distribution` is the exact law, computed
+per node through :func:`type_weights`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import seeding
 from .graph import TypedGraph
@@ -34,6 +43,39 @@ class WalkConfig:
             raise ValueError("walk_length must be >= 2")
         if self.walks_per_node < 1:
             raise ValueError("walks_per_node must be >= 1")
+
+
+class Walks:
+    """Walks as one ``(W, L)`` int32 matrix, each row padded with -1 after its walk.
+
+    Reads as a list of walks: ``len(walks)``, ``walks[i]`` and iteration give
+    each walk as a view of its row at its true length.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.lengths = np.count_nonzero(matrix >= 0, axis=1)
+
+    @classmethod
+    def from_lists(cls, walks) -> Walks:
+        """Pad a sequence of node-index sequences into one matrix."""
+        matrix = np.full((len(walks), max(map(len, walks), default=0)), -1, dtype=np.int32)
+        for row, w in zip(matrix, walks):
+            row[: len(w)] = w
+        return cls(matrix)
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.matrix[i, : self.lengths[i]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __deepcopy__(self, memo) -> list[list[int]]:
+        # a copy to edit: a walk of a list of lists can also lose or gain nodes
+        return [w.tolist() for w in self]
 
 
 def type_weights(types, type_counts) -> list[float]:
@@ -57,81 +99,69 @@ def transition_distribution(g: TypedGraph, v: int, type_counts) -> dict[int, flo
     return {int(u): w / (total * arr.size) for (_, arr), w in zip(groups, weights) for u in arr}
 
 
-def _adjacency(g: TypedGraph):
-    return g.node_groups, g.group_types, g.group_offsets, g.adjacency
+def type_offsets(g: TypedGraph) -> np.ndarray:
+    """``(n * T + 1)`` table: node v's neighbors of type t are
+    ``g.adjacency[offsets[v * T + t]:offsets[v * T + t + 1]]``, empty if none."""
+    n_types = len(g.node_types)
+    group_node = np.repeat(np.arange(g.n_nodes), np.diff(g.node_groups))
+    sizes = np.zeros(g.n_nodes * n_types, dtype=np.int64)
+    sizes[group_node * n_types + g.group_types] = np.diff(g.group_offsets)
+    return np.concatenate([[0], np.cumsum(sizes)])
 
 
-def _step(adj, v: int, type_counts, rng) -> int | None:
-    """One self-guided draw at v; ``adj`` is :func:`_adjacency` as arrays or lists."""
-    node_groups, group_types, group_offsets, neighbors = adj
-    first, end = node_groups[v], node_groups[v + 1]
-    if first == end:
-        return None
-    group = first
-    if end - first > 1:
-        weights = type_weights(group_types[first:end], type_counts)
-        r = rng.random() * sum(weights)
-        acc = 0.0
-        group = end - 1
-        for i, w in enumerate(weights, first):
-            acc += w
-            if r < acc:
-                group = i
-                break
-    lo = group_offsets[group]
-    size = group_offsets[group + 1] - lo
-    return int(neighbors[lo if size == 1 else lo + rng.integers(size)])
+def step(g: TypedGraph, offsets: np.ndarray, nodes: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+    """One self-guided draw for each walker at ``nodes`` (none at a dead end).
 
-
-def sample_transition(g: TypedGraph, v: int, type_counts, rng) -> int | None:
-    """One draw from the self-guided transition at node v; None at dead ends.
-
-    Samples a type with weight :func:`type_weights`, then a uniform neighbor
-    of that type; this induces exactly :func:`transition_distribution`. A
-    node with one neighbor type draws no type, and a type with one neighbor
-    draws no neighbor.
+    ``counts`` is the walkers' ``(len(nodes), T)`` type-count matrix; it
+    gains the drawn neighbor's type. ``offsets`` is :func:`type_offsets`.
+    Each walker draws a type t present at its node with weight
+    exp(-(N_t - min N)), the minimum over present types, then a uniform
+    neighbor of type t: exactly :func:`transition_distribution`.
     """
-    return _step(_adjacency(g), v, type_counts, rng)
+    # type-major (T, walkers) arrays: the reductions over types run as
+    # elementwise operations on whole rows of walkers
+    n_types = counts.shape[1]
+    bounds = offsets[nodes * n_types + np.arange(n_types + 1)[:, None]]
+    sizes = np.diff(bounds, axis=0)
+    # an absent type counts +inf, so its weight is exp(-inf) = 0
+    masked = np.where(sizes > 0, counts.T, np.inf)
+    cum = np.exp(masked.min(axis=0) - masked).cumsum(axis=0)
+    # the least-counted present type weighs 1, so the total is >= 1 and
+    # u * total < total for u < 1 under round-to-nearest: r never selects
+    # a type past the last present one, and a type of weight 0 is skipped
+    r = rng.random(len(nodes)) * cum[-1]
+    t = np.count_nonzero(cum <= r, axis=0)
+    walkers = np.arange(len(nodes))
+    counts[walkers, t] += 1
+    return g.adjacency[bounds[t, walkers] + rng.integers(sizes[t, walkers])]
 
 
-def _walk(adj, node_type, n_types: int, start: int, length: int, rng) -> list[int]:
-    walk = [start]
-    type_counts = [0] * n_types
-    type_counts[node_type[start]] += 1
-    for _ in range(length - 1):
-        nxt = _step(adj, walk[-1], type_counts, rng)
-        if nxt is None:
-            break
-        walk.append(nxt)
-        type_counts[node_type[nxt]] += 1
-    return walk
-
-
-def self_guided_walk(g: TypedGraph, start: int, length: int, rng) -> list[int]:
-    """Walk of up to ``length`` nodes from ``start``; truncated at dead ends.
-
-    N_t counts every node of the walk so far, the start node included.
-    """
-    return _walk(_adjacency(g), g.node_type_of, len(g.node_types), start, length, rng)
-
-
-def generate_walks(g: TypedGraph, cfg: WalkConfig) -> list[list[int]]:
+def generate_walks(g: TypedGraph, cfg: WalkConfig) -> Walks:
     """walks_per_node walks from every node, deterministic given cfg.seed.
 
-    Each (node, repetition) pair owns an independent RNG substream.
+    Walk ``node * walks_per_node + rep`` starts at ``node``. A walk from a
+    node without neighbors stops there; every other walk has
+    ``cfg.walk_length`` nodes, since a step always lands on a node with a
+    neighbor (the one it came from).
     """
-    # lists are several times faster than arrays to read one element at a time
-    adj, node_type = [a.tolist() for a in _adjacency(g)], g.node_type_of.tolist()
-    return [
-        _walk(adj, node_type, len(g.node_types), node, cfg.walk_length,
-              seeding.substream(cfg.seed, seeding.WALKS, node, rep))
-        for node in range(g.n_nodes)
-        for rep in range(cfg.walks_per_node)
-    ]
+    rng = seeding.substream(cfg.seed, seeding.WALKS)
+    offsets = type_offsets(g)
+    start = np.repeat(np.arange(g.n_nodes, dtype=np.int32), cfg.walks_per_node)
+    matrix = np.full((start.size, cfg.walk_length), -1, dtype=np.int32)
+    matrix[:, 0] = start
+    live = np.flatnonzero(np.diff(g.node_groups)[start] > 0)
+    nodes = start[live]
+    counts = np.zeros((len(g.node_types), live.size)).T  # (walkers, T), type-major in memory
+    counts[np.arange(live.size), g.node_type_of[nodes]] = 1
+    for j in range(1, cfg.walk_length if live.size else 1):  # step needs a walker
+        nodes = step(g, offsets, nodes, counts, rng)
+        matrix[live, j] = nodes
+    return Walks(matrix)
 
 
-def dump_walks(walks: list[list[int]], g: TypedGraph, path) -> None:
+def dump_walks(walks: Walks, g: TypedGraph, path) -> None:
     """One walk per line, space-separated external node ids."""
+    ids = np.asarray(g.node_ids, dtype=object)
     with open(path, "w", encoding="utf-8") as f:
         for w in walks:
-            f.write(" ".join(g.node_ids[v] for v in w) + "\n")
+            f.write(" ".join(ids[w]) + "\n")

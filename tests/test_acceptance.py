@@ -24,7 +24,7 @@ from hyperwalk.graph import TypedGraph
 from hyperwalk.seeding import NONEDGES, SPLITS, substream
 from hyperwalk.synthetic import powerlaw_bipartite_graph, two_block_graph
 from hyperwalk.trainer import TrainConfig, pair_gradients, pair_loss, train
-from hyperwalk.walk import WalkConfig, generate_walks, sample_transition, transition_distribution
+from hyperwalk.walk import WalkConfig, generate_walks, step, transition_distribution, type_offsets
 from tests.conftest import random_point
 
 
@@ -162,6 +162,7 @@ def random_bounded_graph(rng, max_neighbors=6):
 def test_criterion_03_walk_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
+    draw_rng = np.random.default_rng(3030)  # draws leave the graph sequence alone
     max_err = 0.0
     checked = 0
     empirical_checked = 0
@@ -187,10 +188,11 @@ def test_criterion_03_walk_oracle():
             max_err = max(max_err, abs(dist[w] - wt / z))
         checked += 1
         if empirical_checked < 3 and len(dist) >= 2:
+            # many lock-step walkers, all in the same (node, counts) state
             draws = 100_000
-            hits = np.zeros(g.n_nodes)
-            for _ in range(draws):
-                hits[sample_transition(g, v, type_counts, rng)] += 1
+            walkers = np.tile(type_counts, (draws, 1))
+            nodes = step(g, type_offsets(g), np.full(draws, v), walkers, draw_rng)
+            hits = np.bincount(nodes, minlength=g.n_nodes)
             for w, p in dist.items():
                 se = math.sqrt(p * (1 - p) / draws)
                 assert abs(hits[w] / draws - p) <= 3 * se + 1e-12, (

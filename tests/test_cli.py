@@ -209,14 +209,22 @@ def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
         (["sweep", "--edge-type", "A-B", "--param", "batch_size", "--values", "4,0"],
          "ValueError: lr, batch_size, negatives must be positive"),
         (["train", "--window", "0"], "ValueError: window must be >= 1, got 0"),
+        (["reconstruct", "--edge-type", "no-such", "--embeddings", "EMB"],
+         "GraphError: unknown edge type 'no-such'"),
+        (["reconstruct", "--embeddings", "NODES"],
+         "ValueError: coords must be (n_nodes, dim + 1) with dim >= 2"),
     ],
 )
 def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, message):
     nodes, edges = graph_files
     out = tmp_path / "o"
+    g, emb = load_graph(nodes, edges), tmp_path / "emb.tsv"
+    init_embeddings(g, 2, 1.0, np.random.default_rng(0)).save_tsv(emb, g)
+    argv = [{"EMB": str(emb), "NODES": nodes}.get(a, a) for a in argv]
+    # reconstruct walks and trains nothing, so it takes no pipeline flags;
     # argv comes last, so that its flags override fast_flags()
-    rc = main([argv[0], "--nodes", nodes, "--edges", edges, "--out", str(out), *fast_flags(),
-               *argv[1:]])
+    flags = [] if argv[0] == "reconstruct" else fast_flags()
+    rc = main([argv[0], "--nodes", nodes, "--edges", edges, "--out", str(out), *flags, *argv[1:]])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperwalk.corpus import AliasTable, build_corpus
+from hyperwalk.walk import Walks
 
 
 def pair_set(c):
@@ -13,7 +14,7 @@ def pair_set(c):
 
 
 def test_window_pairs_on_a_single_walk():
-    c = build_corpus([[0, 1, 2, 3]], window=2, n_nodes=4)
+    c = build_corpus(Walks.from_lists([[0, 1, 2, 3]]), window=2, n_nodes=4)
     got = {(int(u), int(v)) for u, v in c.pairs}
     want = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
     assert got == want | {(v, u) for u, v in want}
@@ -21,24 +22,24 @@ def test_window_pairs_on_a_single_walk():
 
 
 def test_window_one_keeps_only_adjacent_pairs():
-    c = build_corpus([[0, 1, 2]], window=1, n_nodes=3)
+    c = build_corpus(Walks.from_lists([[0, 1, 2]]), window=1, n_nodes=3)
     got = {(int(u), int(v)) for u, v in c.pairs}
     assert got == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
 
 def test_revisit_self_pairs_are_dropped():
-    c = build_corpus([[0, 1, 0]], window=2, n_nodes=2)
+    c = build_corpus(Walks.from_lists([[0, 1, 0]]), window=2, n_nodes=2)
     assert not any(u == v for u, v in c.pairs)
     assert pair_set(c) == {(0, 1), (1, 0)}
 
 
 def test_multiplicities_are_kept():
-    c = build_corpus([[0, 1], [0, 1]], window=5, n_nodes=2)
+    c = build_corpus(Walks.from_lists([[0, 1], [0, 1]]), window=5, n_nodes=2)
     assert len(c) == 4  # two walks x two directions
 
 
 def test_node_freq_counts_pair_occurrences():
-    c = build_corpus([[0, 1, 2, 3]], window=2, n_nodes=5)
+    c = build_corpus(Walks.from_lists([[0, 1, 2, 3]]), window=2, n_nodes=5)
     assert c.node_freq.tolist() == [int((c.pairs == i).sum()) for i in range(5)]
     assert c.node_freq[4] == 0
 
@@ -46,7 +47,7 @@ def test_node_freq_counts_pair_occurrences():
 def test_build_corpus_rejects_bad_window():
     for window in (0, -1):
         with pytest.raises(ValueError, match="window"):
-            build_corpus([[0, 1, 2]], window=window, n_nodes=3)
+            build_corpus(Walks.from_lists([[0, 1, 2]]), window=window, n_nodes=3)
 
 
 def test_alias_table_matches_weights():
@@ -71,7 +72,7 @@ def test_alias_table_rejects_bad_weights():
 
 
 def test_empty_corpus_rejects_sampling():
-    c = build_corpus([], window=5, n_nodes=3)
+    c = build_corpus(Walks.from_lists([]), window=5, n_nodes=3)
     assert len(c) == 0 and c.pairs.shape == (0, 2)
     with pytest.raises(ValueError):
         c.noise_table  # all-zero noise weights
@@ -82,8 +83,51 @@ def test_empty_corpus_rejects_sampling():
 def test_corpus_is_symmetric_and_self_free(seed, window):
     rng = np.random.default_rng(seed)
     walk = rng.integers(0, 6, size=int(rng.integers(2, 30))).tolist()
-    c = build_corpus([walk], window=window, n_nodes=6)
+    c = build_corpus(Walks.from_lists([walk]), window=window, n_nodes=6)
     pairs = pair_set(c)
     for u, v in pairs:
         assert u != v
         assert (v, u) in pairs
+
+
+def reference_build_corpus(walks, window: int) -> np.ndarray:
+    """The per-walk pair extraction build_corpus replaced: for each walk and
+    offset, the forward pairs then the reverse pairs, self-pairs dropped."""
+    us, vs = [], []
+    for w in walks:
+        a = np.asarray(w, dtype=np.int64)
+        for off in range(1, min(window, a.size - 1) + 1):
+            x, y = a[:-off], a[off:]
+            keep = x != y
+            if not keep.all():
+                x, y = x[keep], y[keep]
+            us.extend((x, y))
+            vs.extend((y, x))
+    if not us:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
+
+
+# short walks over few nodes: length-1 walks, revisits (self-pairs) and
+# windows at or beyond the walk length all occur; the empty set too
+walk_sets = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), max_size=8)
+
+
+@given(walks=walk_sets, window=st.integers(1, 14))
+@settings(max_examples=200, deadline=None)
+def test_build_corpus_matches_the_per_walk_reference(walks, window):
+    c = build_corpus(Walks.from_lists(walks), window=window, n_nodes=5)
+    want = reference_build_corpus(walks, window)
+    assert np.array_equal(c.pairs, want)
+    assert np.array_equal(c.node_freq, np.bincount(want.ravel(), minlength=5))
+
+
+def test_build_corpus_matches_the_reference_across_chunks(monkeypatch):
+    # more walks than one chunk holds, so pairs are written chunk by chunk
+    import hyperwalk.corpus as corpus_module
+
+    monkeypatch.setattr(corpus_module, "_CHUNK_SLOTS", 64)
+    rng = np.random.default_rng(5)
+    walks = [rng.integers(0, 9, size=int(rng.integers(1, 20))).tolist() for _ in range(50)]
+    c = build_corpus(Walks.from_lists(walks), window=3, n_nodes=9)
+    assert np.array_equal(c.pairs, reference_build_corpus(walks, 3))

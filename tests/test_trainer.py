@@ -17,7 +17,7 @@ from hyperwalk.trainer import (
     pair_softmax,
     train,
 )
-from hyperwalk.walk import WalkConfig, generate_walks
+from hyperwalk.walk import WalkConfig, Walks, generate_walks
 from tests.conftest import random_point
 
 
@@ -191,7 +191,7 @@ def test_short_embedding_file_is_rejected(tiny_hetero, tmp_path):
 @pytest.fixture
 def trained(triangle):
     walks = [[0, 1, 2, 0, 1], [1, 2, 0, 1, 2], [2, 0, 1, 2, 0]] * 4
-    corpus = build_corpus(walks, window=2, n_nodes=3)
+    corpus = build_corpus(Walks.from_lists(walks), window=2, n_nodes=3)
     cfg = TrainConfig(lr=0.1, batch_size=8, epochs=3, negatives_per_positive=2, seed=0)
     return triangle, corpus, cfg
 
@@ -222,7 +222,7 @@ def test_manifold_drift_stays_small(trained):
 
 
 def test_train_rejects_empty_corpus(triangle):
-    corpus = build_corpus([], window=2, n_nodes=3)
+    corpus = build_corpus(Walks.from_lists([]), window=2, n_nodes=3)
     with pytest.raises(ValueError):
         train(triangle, corpus, TrainConfig(), dim=2)
 
@@ -242,13 +242,7 @@ def test_training_pulls_linked_nodes_together():
     nodes = [(f"n{i}", "t") for i in range(6)]
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     g = TypedGraph(nodes, edges)
-    walks = []
-    rng = np.random.default_rng(0)
-    from hyperwalk.walk import self_guided_walk
-
-    for start in range(6):
-        for _ in range(8):
-            walks.append(self_guided_walk(g, start, 10, rng))
+    walks = generate_walks(g, WalkConfig(walks_per_node=8, walk_length=10, seed=0))
     corpus = build_corpus(walks, window=2, n_nodes=6)
     cfg = TrainConfig(lr=0.2, batch_size=64, epochs=8, negatives_per_positive=3, seed=0)
     table, history = train(g, corpus, cfg, dim=2)
@@ -261,7 +255,7 @@ def test_training_pulls_linked_nodes_together():
 def test_noise_collision_share_counts_draws_equal_to_anchor_or_partner():
     # one edge, two nodes: every noise draw is the anchor or its partner
     g = TypedGraph([("a", "A"), ("b", "B")], [(0, 1)])
-    corpus = build_corpus([[0, 1, 0, 1]], window=1, n_nodes=2)
+    corpus = build_corpus(Walks.from_lists([[0, 1, 0, 1]]), window=1, n_nodes=2)
     cfg = TrainConfig(batch_size=2, epochs=2, negatives_per_positive=3, seed=0)
     _, history = train(g, corpus, cfg, dim=2)
     assert [h["noise_collision_share"] for h in history] == [1.0, 1.0]

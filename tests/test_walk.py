@@ -1,5 +1,6 @@
-"""Self-guided random walks: transition law, sampling, generation."""
+"""Self-guided random walks: transition law, lock-step sampling, generation."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,20 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperwalk import seeding
-from hyperwalk.evaluation import make_link_split
 from hyperwalk.graph import TypedGraph
-from hyperwalk.synthetic import powerlaw_bipartite_graph, two_block_graph
+from hyperwalk.synthetic import dblp_shaped_graph
 from hyperwalk.walk import (
     DeadEnd,
     WalkConfig,
+    Walks,
     dump_walks,
     generate_walks,
-    sample_transition,
-    self_guided_walk,
+    step,
     transition_distribution,
+    type_offsets,
 )
-from tests.test_graph import reference_build
 
 
 def start_counts(g, v):
@@ -61,8 +60,6 @@ def test_transition_raises_at_dead_end():
     g = TypedGraph([("a", "t"), ("b", "t")], [])
     with pytest.raises(DeadEnd):
         transition_distribution(g, 0, start_counts(g, 0))
-    rng = np.random.default_rng(0)
-    assert sample_transition(g, 0, start_counts(g, 0), rng) is None
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -89,52 +86,112 @@ def test_transition_matches_per_neighbor_formula(seed):
         assert dist[v] == pytest.approx(w / z, abs=1e-12)
 
 
-def test_sample_transition_empirical_frequencies():
+def draw_steps(g, v, counts, n, seed):
+    """n lock-step draws from one (node, type counts) state; returns the
+    drawn nodes and the walkers' updated counts."""
+    walkers = np.tile(np.asarray(counts, dtype=np.float64), (n, 1))
+    nodes = step(g, type_offsets(g), np.full(n, v), walkers, np.random.default_rng(seed))
+    return nodes, walkers
+
+
+def max_abs_z(hits, n, dist):
+    """Largest |z| of the empirical frequencies of ``dist``'s outcomes."""
+    return max(abs(hits.get(u, 0) - n * p) / math.sqrt(n * p * (1 - p)) for u, p in dist.items())
+
+
+def test_step_empirical_frequencies():
     g = star_graph()
     counts = start_counts(g, 0)
     counts[g.node_type("A").id] = 2
     counts[g.node_type("B").id] = 1
-    dist = transition_distribution(g, 0, counts)
-    rng = np.random.default_rng(7)
     n = 100_000
-    hits = sum(sample_transition(g, 0, counts, rng) == 2 for _ in range(n))
-    p = dist[2]
-    se = math.sqrt(p * (1 - p) / n)
-    assert abs(hits / n - p) < 3 * se
+    nodes, walkers = draw_steps(g, 0, counts, n, seed=7)
+    assert max_abs_z(dict(zip(*np.unique(nodes, return_counts=True))), n,
+                     transition_distribution(g, 0, counts)) <= 3
+    # each walker counted the type it stepped to
+    assert np.array_equal(walkers - counts, np.eye(len(g.node_types))[g.node_type_of[nodes]])
+
+
+def test_step_on_a_dblp_paper_node_matches_the_exact_law():
+    g = dblp_shaped_graph(np.random.default_rng(0))
+    a, v = g.node_type("A").id, g.node_type("V").id
+    paper = next(int(p) for p in g.nodes_of_type("P") if g.neighbors(p).size == 4)
+    # a walk that came to the paper from an author: N_A = N_P = 1
+    counts = start_counts(g, paper)
+    counts[a] = 1
+    dist = transition_distribution(g, paper, counts)
+    assert {int(g.node_type_of[u]) for u in dist} == {a, v}
+    n = 400_000
+    nodes, _ = draw_steps(g, paper, counts, n, seed=8)
+    assert max_abs_z(dict(zip(*np.unique(nodes, return_counts=True))), n, dist) <= 3
+
+
+def two_step_law(g, s):
+    """Exact probability of each two-step path s -> u -> w: the counts of the
+    second step include the start node and u."""
+    law = {}
+    for u, p1 in transition_distribution(g, s, start_counts(g, s)).items():
+        counts = start_counts(g, s)
+        counts[g.node_type_of[u]] += 1
+        for w, p2 in transition_distribution(g, u, counts).items():
+            law[(u, w)] = p1 * p2
+    return law
+
+
+def test_type_counts_include_the_start_node(tiny_hetero):
+    # e.g. on the star, a1 -> c -> ?: with the start counted, N_A = N_C = 1 and
+    # N_B = 0, so P(b1) = 1 / (1 + e^{-1}); without it, A and B would tie at 1/2.
+    # Every two-step path frequency of generate_walks matches the exact law.
+    n = 20_000
+    for g in (star_graph(), tiny_hetero):
+        walks = generate_walks(g, WalkConfig(walks_per_node=n, walk_length=3, seed=11)).matrix
+        for s in range(g.n_nodes):
+            paths, hits = np.unique(walks[s * n : (s + 1) * n, 1:], axis=0, return_counts=True)
+            law = two_step_law(g, s)
+            assert set(map(tuple, paths.tolist())) <= set(law)
+            assert max_abs_z(dict(zip(map(tuple, paths.tolist()), hits)), n, law) <= 4
 
 
 def test_walk_stays_on_edges(triangle):
-    rng = np.random.default_rng(1)
-    w = self_guided_walk(triangle, 0, 40, rng)
-    assert w[0] == 0 and len(w) == 40
-    for u, v in zip(w, w[1:]):
-        assert v in triangle.neighbors(u)
+    walks = generate_walks(triangle, WalkConfig(walks_per_node=2, walk_length=40, seed=1))
+    for w in walks:
+        assert len(w) == 40
+        for u, v in zip(w, w[1:]):
+            assert v in triangle.neighbors(u)
 
 
 def test_walk_truncates_at_dead_end():
-    g = TypedGraph([("a", "t")], [])
-    assert self_guided_walk(g, 0, 10, np.random.default_rng(0)) == [0]
-
-
-def test_type_counts_include_the_start_node():
-    # a1 -> c -> ?: with the start counted, N_A = N_C = 1 and N_B = 0, so
-    # P(b1) = 1 / (1 + e^{-1}); without it, A and B would tie at 1/2
-    g = star_graph()
-    rng = np.random.default_rng(11)
-    n = 20_000
-    hits = sum(self_guided_walk(g, 1, 3, rng)[2] == 2 for _ in range(n))
-    p = 1 / (1 + math.exp(-1))
-    assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+    g = TypedGraph([("a", "t"), ("b", "t"), ("c", "u")], [(0, 2)])
+    walks = generate_walks(g, WalkConfig(walks_per_node=2, walk_length=10, seed=0))
+    assert [len(w) for w in walks] == [10, 10, 1, 1, 10, 10]
+    assert walks[2].tolist() == [1]
+    assert (walks.matrix[2:4, 1:] == -1).all()
+    assert generate_walks(TypedGraph([], []), WalkConfig(2, 10)).matrix.shape == (0, 10)
 
 
 def test_generate_walks_shape_and_determinism(tiny_hetero):
     cfg = WalkConfig(walks_per_node=3, walk_length=10, seed=5)
     walks = generate_walks(tiny_hetero, cfg)
     assert len(walks) == tiny_hetero.n_nodes * 3
+    assert walks.matrix.dtype == np.int32 and walks.matrix.shape == (len(walks), 10)
     starts = [w[0] for w in walks]
     assert starts == sorted(starts)
-    assert walks == generate_walks(tiny_hetero, cfg)
-    assert walks != generate_walks(tiny_hetero, WalkConfig(3, 10, seed=6))
+    assert np.array_equal(walks.matrix, generate_walks(tiny_hetero, cfg).matrix)
+    assert not np.array_equal(walks.matrix, generate_walks(tiny_hetero, WalkConfig(3, 10, seed=6)).matrix)
+
+
+def test_walks_read_as_a_list_of_walks():
+    lists = [[3, 1, 3], [2], [], [0, 1, 2, 3]]
+    walks = Walks.from_lists(lists)
+    assert walks.matrix.shape == (4, 4) and walks.matrix[1, 1] == -1
+    assert len(walks) == 4
+    assert [len(w) for w in walks] == [3, 1, 0, 4]
+    assert [w.tolist() for w in walks] == lists
+    assert walks[3].tolist() == [0, 1, 2, 3]
+    edited = copy.deepcopy(walks)
+    del edited[0][-1]
+    assert edited[0] == [3, 1] and walks[0].tolist() == [3, 1, 3]
+    assert len(Walks.from_lists([])) == 0
 
 
 def test_walk_config_validation():
@@ -151,54 +208,4 @@ def test_dump_walks_uses_external_ids(tiny_hetero, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == len(walks)
     assert lines[0].split()[0] == "a0"
-    ids = set(tiny_hetero.node_ids)
-    assert all(tok in ids for line in lines for tok in line.split())
-
-
-def reference_walks(g, cfg):
-    """The per-step walker generate_walks replaced, over the per-node group
-    lists of the per-edge builder (groups in first-seen order)."""
-    nodes = [(nid, g.node_types[t].label) for nid, t in zip(g.node_ids, g.node_type_of)]
-    adj = [
-        [(t, np.asarray(ns)) for t, ns in groups]
-        for groups in reference_build(nodes, g.edges.tolist())["groups"]
-    ]
-    walks = []
-    for node in range(g.n_nodes):
-        for rep in range(cfg.walks_per_node):
-            rng = seeding.substream(cfg.seed, seeding.WALKS, node, rep)
-            walk = [node]
-            counts = np.zeros(len(g.node_types), dtype=np.int64)
-            counts[g.node_type_of[node]] += 1
-            while len(walk) < cfg.walk_length and adj[walk[-1]]:
-                groups = adj[walk[-1]]
-                arr = groups[0][1]
-                if len(groups) > 1:
-                    shift = min(int(counts[t]) for t, _ in groups)
-                    weights = [math.exp(-(int(counts[t]) - shift)) for t, _ in groups]
-                    r = rng.random() * sum(weights)
-                    acc = 0.0
-                    arr = groups[-1][1]
-                    for (_, a), w in zip(groups, weights):
-                        acc += w
-                        if r < acc:
-                            arr = a
-                            break
-                nxt = int(arr[0]) if arr.size == 1 else int(arr[rng.integers(arr.size)])
-                walk.append(nxt)
-                counts[g.node_type_of[nxt]] += 1
-            walks.append(walk)
-    return walks
-
-
-@pytest.mark.parametrize("graph", ["two_block A-B train graph", "powerlaw bipartite"])
-def test_generate_walks_match_the_per_step_reference(graph):
-    if graph == "powerlaw bipartite":
-        g = powerlaw_bipartite_graph(np.random.default_rng(1))
-    else:
-        full = two_block_graph(np.random.default_rng(0))
-        g = make_link_split(full, "A-B", 0.2, rng=seeding.substream(0, seeding.SPLITS)).train_graph
-    cfg = WalkConfig(walks_per_node=2, walk_length=40, seed=3)
-    walks = generate_walks(g, cfg)
-    assert walks == reference_walks(g, cfg)
-    assert all(type(v) is int for w in walks for v in w)
+    assert [line.split() for line in lines] == [[tiny_hetero.node_ids[v] for v in w] for w in walks]
