@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__, seeding
 from .corpus import build_corpus
 from .evaluation import (
+    DEFAULT_MAX_NEG,
     link_prediction_eval,
     make_link_split,
     reconstruct,
@@ -40,10 +41,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", required=True, help="node TSV: node_id<TAB>type_label")
     p.add_argument("--edges", required=True, help="edge TSV: src<TAB>dst[<TAB>edge_label]")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_pipeline(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--walks", type=int, default=10, help="walks per node")
     p.add_argument("--walk-length", type=int, default=80)
     p.add_argument("--window", type=int, default=5)
@@ -58,11 +59,12 @@ def _int_list(text: str) -> list[int]:
 
 
 def _dims(args) -> list[int]:
-    if args.dims is None:
-        return [args.dim]
-    dims = _int_list(args.dims)
+    """--dims if the command has it and it is given, else [--dim]; each >= 2."""
+    dims = [args.dim] if getattr(args, "dims", None) is None else _int_list(args.dims)
     if not dims:
         raise ValueError(f"--dims {args.dims!r} lists no dimension")
+    if min(dims) < 2:
+        raise ValueError(f"embedding dimension must be >= 2, got {min(dims)}")
     return dims
 
 
@@ -136,9 +138,11 @@ def cmd_reconstruct(args) -> int:
     for i, (path, emb) in enumerate(zip(args.embeddings, tables)):
         if declared is not None and emb.dim != declared[i]:
             raise ValueError(f"{path}: embedding dimension {emb.dim} != declared {declared[i]}")
+    if args.max_neg < 1:
+        raise ValueError(f"--max-neg must be >= 1, got {args.max_neg}")
+    rng = seeding.substream(args.seed, seeding.NONEDGES)  # checks --seed
     out = Path(args.out)
     _write_manifest(args, "reconstruct")
-    rng = seeding.substream(args.seed, seeding.NONEDGES)
     reports = []
     for emb in tables:
         for et in edge_types:
@@ -191,6 +195,7 @@ def cmd_sweep(args) -> int:
     values = [cast(x) for x in str(args.values).split(",") if x]
     if not values:
         raise ValueError(f"--values {args.values!r} lists no value")
+    (dim,) = _dims(args)
     runs = [argparse.Namespace(**(vars(args) | {attr: value})) for value in values]
     configs = [_pipeline_configs(run) for run in runs]  # every value, before any output
     g = load_graph(args.nodes, args.edges)
@@ -202,14 +207,14 @@ def cmd_sweep(args) -> int:
     for value, run, (wcfg, tcfg) in zip(values, runs, configs):
         walks = generate_walks(tg, wcfg)
         corpus = build_corpus(walks, run.window, tg.n_nodes)
-        table, _ = train(tg, corpus, tcfg, args.dim)
+        table, _ = train(tg, corpus, tcfg, dim)
         report = link_prediction_eval(split, table)
         records.append(
             {
                 "param": args.param,
                 "value": value,
                 "auc": report.auc,
-                "dimension": args.dim,
+                "dimension": dim,
                 "config": {key: getattr(run, key) for key in SWEEP_RECORD},
             }
         )
@@ -255,10 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="network-reconstruction AUC report")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embeddings", action="append", required=True, help="embedding TSV (repeatable)")
     p.add_argument("--dims", default=None, help="declared dimension per embeddings file")
     p.add_argument("--edge-type", default=None)
-    p.add_argument("--max-neg", type=int, default=1_000_000)
+    p.add_argument("--max-neg", type=int, default=DEFAULT_MAX_NEG)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("linkpred", help="20%% split, retrain, link-prediction AUC")

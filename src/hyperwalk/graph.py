@@ -6,9 +6,9 @@ explicit edge-type label is supplied. Node ids are opaque strings
 externally and dense integers internally.
 
 ``adjacency`` holds both directions of every edge, sorted by (node, neighbor type),
-in edge order within a group. Node v's non-empty groups, in type-id order, are
-``node_groups[v]:node_groups[v + 1]``; group i holds ``adjacency[group_offsets[i]:
-group_offsets[i + 1]]``, the neighbors of type ``group_types[i]``.
+in edge order within a group. With T node types, node v's neighbors of type t are
+``adjacency[type_offsets[v * T + t]:type_offsets[v * T + t + 1]]``, an empty slice
+when v has none; ``type_offsets`` has ``n_nodes * T + 1`` entries.
 """
 
 from __future__ import annotations
@@ -119,15 +119,12 @@ class TypedGraph:
             )
 
         # type-grouped adjacency: both directions of every edge, stably sorted
-        # by (node, neighbor type), so a group keeps its neighbors in edge order
+        # by key = (node, neighbor type), so a group keeps its neighbors in edge
+        # order; a group's offset is the count of smaller keys
         nbr = self.edges[:, ::-1].ravel()
         key = self.edges.ravel() * n_types + self.node_type_of[nbr]
-        order = np.argsort(key, kind="stable")
-        group_key, group_first = np.unique(key[order], return_index=True)
-        self.adjacency = nbr[order]
-        self.group_offsets = np.append(group_first, order.size)
-        self.group_types = group_key % n_types
-        self.node_groups = np.searchsorted(group_key // n_types, np.arange(n + 1))
+        self.adjacency = nbr[np.argsort(key, kind="stable")]
+        self.type_offsets = np.concatenate([[0], np.bincount(key, minlength=n * n_types).cumsum()])
 
     @property
     def n_nodes(self) -> int:
@@ -166,16 +163,16 @@ class TypedGraph:
     def adjacency_groups(self, v: int) -> list[tuple[int, np.ndarray]]:
         """Neighbors of v grouped by neighbor type id, in type-id order; a
         group lists its neighbors in edge order."""
-        first, end = self.node_groups[v], self.node_groups[v + 1]
-        bounds = self.group_offsets[first : end + 1].tolist()
+        n_types = len(self.node_types)
+        bounds = self.type_offsets[v * n_types : (v + 1) * n_types + 1].tolist()
         return [
-            (t, self.adjacency[lo:hi])
-            for t, lo, hi in zip(self.group_types[first:end].tolist(), bounds, bounds[1:])
+            (t, self.adjacency[lo:hi]) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo
         ]
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbors of v, grouped as in :meth:`adjacency_groups`; a view."""
-        lo, hi = self.group_offsets[self.node_groups[v : v + 2]]
+        n_types = len(self.node_types)
+        lo, hi = self.type_offsets[[v * n_types, (v + 1) * n_types]]
         return self.adjacency[lo:hi]
 
     def degrees(self) -> np.ndarray:

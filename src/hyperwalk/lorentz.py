@@ -74,15 +74,11 @@ def project_to_tangent(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u + np.asarray(minkowski_inner(u, x))[..., None] * x
 
 
-def exp_map(x: np.ndarray, u: np.ndarray, check_tangent: bool = True) -> np.ndarray:
-    """Follow the geodesic from x in tangent direction u for arc length |u|."""
+def exp_map(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Follow the geodesic from x in tangent direction u for arc length |u|;
+    u must be tangent at x (see :func:`project_to_tangent`), which is not checked."""
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    if check_tangent:
-        dev = np.abs(minkowski_inner(u, x))
-        scale = 1.0 + np.sqrt(np.sum(u * u, axis=-1))
-        if np.any(dev > 1e-6 * scale):
-            raise ValueError("exp_map input is not tangent at x")
     sq = np.clip(minkowski_inner(u, u), 0.0, None)
     r = np.sqrt(np.asarray(sq))
     small = r < _SMALL_NORM

@@ -263,7 +263,7 @@ def train(
             acc /= np.bincount(flat_slot, minlength=touched.size)[:, None]
             x = np.take(coords, touched, axis=0)
             step = lorentz.project_to_tangent(x, -cfg.lr * acc)
-            moved = lorentz.exp_map(x, step, check_tangent=False)
+            moved = lorentz.exp_map(x, step)
             if not np.all(np.isfinite(moved)):
                 raise TrainingDiverged(
                     f"non-finite update in epoch {epoch}, batch {b0 // cfg.batch_size}"

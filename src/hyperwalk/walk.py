@@ -9,14 +9,14 @@ probability ~ exp(-N_t), then a uniform neighbor of that type.
 
 :func:`generate_walks` advances every walker one step per loop iteration
 over NumPy arrays: a ``(walkers, T)`` type-count matrix holds each walk's
-N_t, and an ``(n * T + 1)`` offset table, built from the graph's
-type-grouped adjacency, locates the neighbors of each (node, type). All
-draws come from one ``substream(seed, WALKS)``. The result is a
-:class:`Walks`, one ``(W, L)`` int32 matrix padded with -1 that reads like a
-list of walks. :func:`transition_distribution` is the exact law, computed
-per node through :func:`type_weights`. On the 28,871-node DBLP-shaped
-graph the walker makes about 3-4M steps/s on one core of a 2-core machine,
-against about 150k for a walker that steps one walk at a time in Python.
+N_t, and the graph's ``type_offsets`` table locates the neighbors of each
+(node, type). All draws come from one ``substream(seed, WALKS)``. The
+result is a :class:`Walks`, one ``(W, L)`` int32 matrix padded with -1 that
+reads like a list of walks. :func:`transition_distribution` is the exact
+law, computed per node through :func:`type_weights`. On the 28,871-node
+DBLP-shaped graph the walker makes about 3-4M steps/s on one core of a
+2-core machine, against about 150k for a walker that steps one walk at a
+time in Python.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class WalkConfig:
             raise ValueError("walk_length must be >= 2")
         if self.walks_per_node < 1:
             raise ValueError("walks_per_node must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 class Walks:
@@ -101,29 +103,20 @@ def transition_distribution(g: TypedGraph, v: int, type_counts) -> dict[int, flo
     return {int(u): w / (total * arr.size) for (_, arr), w in zip(groups, weights) for u in arr}
 
 
-def type_offsets(g: TypedGraph) -> np.ndarray:
-    """``(n * T + 1)`` table: node v's neighbors of type t are
-    ``g.adjacency[offsets[v * T + t]:offsets[v * T + t + 1]]``, empty if none."""
-    n_types = len(g.node_types)
-    group_node = np.repeat(np.arange(g.n_nodes), np.diff(g.node_groups))
-    sizes = np.zeros(g.n_nodes * n_types, dtype=np.int64)
-    sizes[group_node * n_types + g.group_types] = np.diff(g.group_offsets)
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
-def step(g: TypedGraph, offsets: np.ndarray, nodes: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+def step(g: TypedGraph, nodes: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
     """One self-guided draw for each walker at ``nodes``, each of which has a neighbor.
 
     ``counts`` is the walkers' ``(len(nodes), T)`` type-count matrix; it
-    gains the drawn neighbor's type. ``offsets`` is :func:`type_offsets`.
-    Each walker draws a type t present at its node with weight
-    exp(-(N_t - min N)), the minimum over present types, then a uniform
-    neighbor of type t: exactly :func:`transition_distribution`.
+    gains the drawn neighbor's type. Each walker reads its T neighbor
+    groups off ``g.type_offsets``, an absent type as an empty group, draws a
+    type t present at its node with weight exp(-(N_t - min N)), the minimum
+    over present types, then a uniform neighbor of type t: exactly
+    :func:`transition_distribution`.
     """
     # type-major (T, walkers) arrays: the reductions over types run as
     # elementwise operations on whole rows of walkers
     n_types = counts.shape[1]
-    bounds = offsets[nodes * n_types + np.arange(n_types + 1)[:, None]]
+    bounds = g.type_offsets[nodes * n_types + np.arange(n_types + 1)[:, None]]
     sizes = np.diff(bounds, axis=0)
     # an absent type counts +inf, so its weight is exp(-inf) = 0
     masked = np.where(sizes > 0, counts.T, np.inf)
@@ -147,16 +140,16 @@ def generate_walks(g: TypedGraph, cfg: WalkConfig) -> Walks:
     neighbor (the one it came from).
     """
     rng = seeding.substream(cfg.seed, seeding.WALKS)
-    offsets = type_offsets(g)
+    n_types = len(g.node_types)
     start = np.repeat(np.arange(g.n_nodes), cfg.walks_per_node)
     matrix = np.full((start.size, cfg.walk_length), -1, dtype=np.int32)
     matrix[:, 0] = start
-    live = np.flatnonzero(np.diff(g.node_groups)[start] > 0)
+    live = np.flatnonzero(g.type_offsets[(start + 1) * n_types] > g.type_offsets[start * n_types])
     nodes = start[live]
-    counts = np.zeros((len(g.node_types), live.size)).T  # (walkers, T), type-major in memory
+    counts = np.zeros((n_types, live.size)).T  # (walkers, T), type-major in memory
     counts[np.arange(live.size), g.node_type_of[nodes]] = 1
     for j in range(1, cfg.walk_length if live.size else 1):  # step needs a walker
-        nodes = step(g, offsets, nodes, counts, rng)
+        nodes = step(g, nodes, counts, rng)
         matrix[live, j] = nodes
     return Walks(matrix)
 

@@ -24,7 +24,7 @@ from hyperwalk.graph import TypedGraph
 from hyperwalk.seeding import NONEDGES, SPLITS, substream
 from hyperwalk.synthetic import powerlaw_bipartite_graph, two_block_graph
 from hyperwalk.trainer import TrainConfig, pair_gradients, pair_loss, train
-from hyperwalk.walk import WalkConfig, generate_walks, step, transition_distribution, type_offsets
+from hyperwalk.walk import WalkConfig, generate_walks, step, transition_distribution
 from tests.conftest import random_point
 
 
@@ -41,7 +41,7 @@ def batch_points(rng, n, d, max_radius=4.0):
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     u = np.zeros((n, d + 1))
     u[:, :d] = direction * rng.uniform(0.0, max_radius, size=(n, 1))
-    return lorentz.exp_map(np.tile(lorentz.origin(d), (n, 1)), u, check_tangent=False)
+    return lorentz.exp_map(np.tile(lorentz.origin(d), (n, 1)), u)
 
 
 # --- 1: geometry suite ----------------------------------------------------
@@ -72,7 +72,7 @@ def test_criterion_01_geometry_suite():
             worst["tangent"], float(np.abs(lorentz.minkowski_inner(x, u)).max())
         )
         norm = np.sqrt(np.clip(lorentz.minkowski_inner(u, u), 0.0, None))
-        dgeo = lorentz.hyperbolic_distance(x, lorentz.exp_map(x, u, check_tangent=False))
+        dgeo = lorentz.hyperbolic_distance(x, lorentz.exp_map(x, u))
         worst["geodesic"] = max(worst["geodesic"], float(np.abs(dgeo - norm).max()))
     elapsed = time.perf_counter() - t0
     ok = (
@@ -191,7 +191,7 @@ def test_criterion_03_walk_oracle():
             # many lock-step walkers, all in the same (node, counts) state
             draws = 100_000
             walkers = np.tile(type_counts, (draws, 1))
-            nodes = step(g, type_offsets(g), np.full(draws, v), walkers, draw_rng)
+            nodes = step(g, np.full(draws, v), walkers, draw_rng)
             hits = np.bincount(nodes, minlength=g.n_nodes)
             for w, p in dist.items():
                 se = math.sqrt(p * (1 - p) / draws)

@@ -213,6 +213,18 @@ def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
          "GraphError: unknown edge type 'no-such'"),
         (["reconstruct", "--embeddings", "NODES"],
          "ValueError: coords must be (n_nodes, dim + 1) with dim >= 2"),
+        (["train", "--dim", "1"], "ValueError: embedding dimension must be >= 2, got 1"),
+        (["train", "--dims", "2,1"], "ValueError: embedding dimension must be >= 2, got 1"),
+        (["linkpred", "--edge-type", "A-B", "--dim", "1"],
+         "ValueError: embedding dimension must be >= 2, got 1"),
+        (["sweep", "--edge-type", "A-B", "--param", "window", "--values", "1", "--dim", "1"],
+         "ValueError: embedding dimension must be >= 2, got 1"),
+        (["train", "--seed", "-1"], "ValueError: seed must be non-negative"),
+        (["reconstruct", "--embeddings", "EMB", "--seed", "-1"], "ValueError: seed must be non-negative"),
+        (["reconstruct", "--embeddings", "EMB", "--max-neg", "0"],
+         "ValueError: --max-neg must be >= 1, got 0"),
+        (["reconstruct", "--embeddings", "EMB", "--max-neg", "-5"],
+         "ValueError: --max-neg must be >= 1, got -5"),
     ],
 )
 def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, message):

@@ -183,7 +183,8 @@ def fields_of(g: TypedGraph):
 @st.composite
 def typed_edge_lists(draw):
     """Small graphs with 1-3 node types, duplicate edges in both orientations,
-    self-loops, and explicit, inferred and absent edge labels."""
+    self-loops, and explicit, inferred and absent edge labels; up to two
+    isolated nodes come last, of a type that may have no edge at all."""
     n, labels = draw(st.integers(1, 9)), "ABC"[: draw(st.integers(1, 3))]
     nodes = [(f"n{i}", draw(st.sampled_from(labels))) for i in range(n)]
     type_ids: dict = {}
@@ -204,6 +205,8 @@ def typed_edge_lists(draw):
             edges.append((u, v, f"{lu}-{lv}"))
         else:
             edges.append((u, v, f"{form}:{''.join(sorted(lu + lv))}"))
+    isolated = draw(st.integers(0, 2))
+    nodes += [(f"n{i}", draw(st.sampled_from(labels + "Z"))) for i in range(n, n + isolated)]
     return nodes, edges
 
 
@@ -220,6 +223,15 @@ def test_array_build_matches_the_per_edge_builder(case, data):
     for v, (mine, theirs) in enumerate(zip(groups, ref_groups)):
         assert [t for t, _ in mine] == sorted(t for t, _ in theirs), f"node {v}: type-id order"
         assert dict(mine) == dict(theirs), f"node {v}"
+    # the walker reads every (node, type) slice, absent types included, so
+    # their sizes must be 0, which adjacency_groups hides by dropping them
+    n_types, offsets = len(g.node_types), g.type_offsets
+    assert offsets.shape == (g.n_nodes * n_types + 1,) and offsets[0] == 0
+    assert np.all(np.diff(offsets) >= 0) and offsets[-1] == 2 * g.n_edges
+    for v, theirs in enumerate(ref_groups):
+        for t in range(n_types):
+            lo, hi = offsets[v * n_types + t : v * n_types + t + 2]
+            assert g.adjacency[lo:hi].tolist() == dict(theirs).get(t, []), f"node {v}, type {t}"
     # one fault inserted anywhere raises the same message in both builders
     faulty = list(edges)
     at = data.draw(st.integers(0, len(edges)))

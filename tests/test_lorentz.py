@@ -64,9 +64,9 @@ def test_exp_map_mixed_batch_equals_separate_calls():
     small[[1, 4, 7]] = True
     norms = np.sqrt(np.clip(lorentz.minkowski_inner(u, u), 0.0, None))
     assert np.array_equal(norms < 1e-8, small)
-    mixed = lorentz.exp_map(x, u, check_tangent=False)
-    assert np.array_equal(mixed[small], lorentz.exp_map(x[small], u[small], check_tangent=False))
-    assert np.array_equal(mixed[~small], lorentz.exp_map(x[~small], u[~small], check_tangent=False))
+    mixed = lorentz.exp_map(x, u)
+    assert np.array_equal(mixed[small], lorentz.exp_map(x[small], u[small]))
+    assert np.array_equal(mixed[~small], lorentz.exp_map(x[~small], u[~small]))
     assert np.array_equal(mixed[1], x[1])
 
 

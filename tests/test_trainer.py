@@ -131,8 +131,8 @@ def test_single_pair_descent_reaches_stationarity():
     prev = pair_loss(e_u, e_v, negs)
     for _ in range(2000):
         gu, gv, _ = pair_gradients(e_u, e_v, negs)
-        e_u = lorentz.normalize(lorentz.exp_map(e_u, -lr * gu, check_tangent=False))
-        e_v = lorentz.normalize(lorentz.exp_map(e_v, -lr * gv, check_tangent=False))
+        e_u = lorentz.normalize(lorentz.exp_map(e_u, -lr * gu))
+        e_v = lorentz.normalize(lorentz.exp_map(e_v, -lr * gv))
         cur = pair_loss(e_u, e_v, negs)
         assert cur < prev
         if prev - cur < 1e-6:
@@ -298,7 +298,7 @@ def dense_scatter_train(g, corpus, cfg, dim):
             acc = acc_full[touched] / counts[touched, None]
             x = coords[touched]
             step = lorentz.project_to_tangent(x, -cfg.lr * acc)
-            moved = lorentz.exp_map(x, step, check_tangent=False)
+            moved = lorentz.exp_map(x, step)
             normalized = lorentz.normalize(moved)
             drift = np.abs(normalized[:, -1] ** 2 - moved[:, -1] ** 2)
             max_drift = max(max_drift, float(drift.max()))

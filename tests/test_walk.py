@@ -18,7 +18,6 @@ from hyperwalk.walk import (
     generate_walks,
     step,
     transition_distribution,
-    type_offsets,
 )
 
 
@@ -90,7 +89,7 @@ def draw_steps(g, v, counts, n, seed):
     """n lock-step draws from one (node, type counts) state; returns the
     drawn nodes and the walkers' updated counts."""
     walkers = np.tile(np.asarray(counts, dtype=np.float64), (n, 1))
-    nodes = step(g, type_offsets(g), np.full(n, v), walkers, np.random.default_rng(seed))
+    nodes = step(g, np.full(n, v), walkers, np.random.default_rng(seed))
     return nodes, walkers
 
 
