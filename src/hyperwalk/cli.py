@@ -111,6 +111,8 @@ def cmd_train(args) -> int:
     wcfg, tcfg = _pipeline_configs(args)
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
+    if args.dump_walks:  # a dump path that cannot be written fails before any output
+        open(args.dump_walks, "w").close()
     _write_manifest(args, "train")
     walks = generate_walks(g, wcfg)
     if args.dump_walks:

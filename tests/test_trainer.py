@@ -8,7 +8,6 @@ from hyperwalk.corpus import build_corpus
 from hyperwalk.graph import TypedGraph
 from hyperwalk.seeding import substream
 from hyperwalk.trainer import (
-    EmbeddingTable,
     TrainConfig,
     init_embeddings,
     load_embeddings_for_graph,
@@ -225,15 +224,6 @@ def test_train_rejects_empty_corpus(triangle):
     corpus = build_corpus(Walks.from_lists([]), window=2, n_nodes=3)
     with pytest.raises(ValueError):
         train(triangle, corpus, TrainConfig(), dim=2)
-
-
-def test_train_resumes_from_existing_table(trained):
-    g, corpus, cfg = trained
-    warm = init_embeddings(g, 2, 1e-3, substream(9, 2))
-    table, _ = train(g, corpus, cfg, dim=2, table=warm)
-    assert table is warm
-    with pytest.raises(ValueError):
-        train(g, corpus, cfg, dim=5, table=EmbeddingTable(warm.coords.copy()))
 
 
 def test_training_pulls_linked_nodes_together():
