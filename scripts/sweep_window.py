@@ -25,7 +25,8 @@ def in_block_coverage(g, corpus):
     """Fraction of block-0 A-C pairs that appear as positives."""
     A, C = g.nodes_of_type("A"), g.nodes_of_type("C")
     half_a, half_c = A[: A.size // 2], C[: C.size // 2]
-    positives = np.unique(corpus.pairs[:, 0] * g.n_nodes + corpus.pairs[:, 1])
+    pairs = corpus.pairs.astype(np.int64)  # int32 codes u * n + v wrap past 46,340 nodes
+    positives = np.unique(pairs[:, 0] * g.n_nodes + pairs[:, 1])
     block = (half_a[:, None] * g.n_nodes + half_c[None, :]).ravel()
     return float(np.isin(block, positives).mean()) if block.size else 0.0
 

@@ -4,8 +4,10 @@ A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
 :func:`build_corpus` takes the pairs straight from the padded walk matrix
 of a :class:`~hyperwalk.walk.Walks`, one window offset at a time, into one
-preallocated pair array: about 9M pairs in 0.2 s from 1 x 40 walks on the
-DBLP-shaped graph.
+preallocated int32 pair array, 8 bytes a pair: about 9M pairs in 0.2 s
+from 1 x 40 walks on the DBLP-shaped graph. Node indices stay int32 from
+the walk matrix through to the trainer, which shuffles an int32 index
+array in place each epoch.
 
 Training negatives are frequency-based noise: each is an independent draw
 from ``SampleCorpus.noise_table``, with probability proportional to a
@@ -26,6 +28,11 @@ import numpy as np
 # of the pull that places hubs near the disk center; 0.75 draws hubs
 # relatively less often.
 NOISE_EXPONENT = 0.75
+
+# largest node index a corpus stores: pairs are int32
+INDEX_MAX = np.iinfo(np.int32).max
+# pair entries node_freq counts at a time, bounding bincount's int64 copy at 8 MB
+FREQ_CHUNK = 1 << 20
 
 
 class AliasTable:
@@ -58,12 +65,30 @@ class AliasTable:
 
 
 class SampleCorpus:
-    """Multiset of positive pairs plus the frequency table for negatives."""
+    """Multiset of positive pairs plus the frequency table for negatives.
+
+    The pairs are stored as an int32 ``(P, 2)`` array, 8 bytes a pair; an
+    int32 input is kept without a copy. Every entry must be a node index
+    in ``[0, n_nodes)`` and ``n_nodes`` must fit in int32, else ValueError.
+    """
 
     def __init__(self, pairs: np.ndarray, n_nodes: int):
-        self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(pairs).reshape(-1, 2)
         self.n_nodes = int(n_nodes)
-        self.node_freq = np.bincount(self.pairs.ravel(), minlength=self.n_nodes)
+        if not 0 <= self.n_nodes <= INDEX_MAX:
+            raise ValueError(f"n_nodes must be in [0, {INDEX_MAX}], got {self.n_nodes}")
+        # checked before the narrowing cast, so an index >= 2**31 cannot wrap
+        if pairs.size:
+            lo, hi = int(pairs.min()), int(pairs.max())
+            if lo < 0 or hi >= self.n_nodes:
+                bad = lo if lo < 0 else hi
+                raise ValueError(f"pair entry {bad} is not a node index in [0, {self.n_nodes})")
+        self.pairs = pairs.astype(np.int32, copy=False)
+        # bincount copies int32 input to int64, so count a chunk at a time
+        flat = self.pairs.ravel()
+        self.node_freq = np.zeros(self.n_nodes, dtype=np.int64)
+        for at in range(0, flat.size, FREQ_CHUNK):
+            self.node_freq += np.bincount(flat[at : at + FREQ_CHUNK], minlength=self.n_nodes)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -83,14 +108,15 @@ def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
     j - i, direction: forward (v_i, v_j) then reverse (v_j, v_i), walk,
     position i). Each offset's mask over the walk matrix is made twice,
     once to count the pairs and once to write them into one preallocated
-    array, so one mask and one gathered column are held at a time.
+    int32 ``(P, 2)`` array, so one mask and one gathered column are held at
+    a time.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     m = walks.matrix
     offsets = range(1, min(window, m.shape[1] - 1) + 1)  # offsets that fit in a row
     counts = [np.count_nonzero(_keep(m, o)) for o in offsets]
-    pairs = np.empty((2 * sum(counts), 2), dtype=np.int64)
+    pairs = np.empty((2 * sum(counts), 2), dtype=np.int32)
     at = 0
     for o, n in zip(offsets, counts):
         keep = _keep(m, o)

@@ -186,6 +186,10 @@ def train(
 ) -> tuple[EmbeddingTable, list[dict]]:
     """SGD over a seed-shuffled pair multiset; returns (table, epoch log).
 
+    Each epoch reads the int32 pairs in the order of one index array,
+    int32 (int64 past 2**31 - 1 pairs), shuffled in place: the order
+    ``Generator.permutation`` gives, at 4 bytes a pair and without its
+    int64 copy.
     Per batch: fresh noise negatives, gradients summed per node, one
     exponential-map step per touched node, then re-normalization. The
     per-batch cost scales with the rows the batch touches, not with
@@ -212,10 +216,14 @@ def train(
     # cleared after), slot maps a touched node to its row in the batch's sums
     seen = np.zeros(g.n_nodes, dtype=bool)
     slot = np.empty(g.n_nodes, dtype=np.int64)
+    fits_int32 = len(pairs) <= np.iinfo(np.int32).max
+    order = np.arange(len(pairs), dtype=np.int32 if fits_int32 else np.int64)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        order = shuffle_rng.permutation(len(pairs))
+        if epoch:
+            order.sort()  # back to the arange, in place
+        shuffle_rng.shuffle(order)
         loss_sum = 0.0
         max_drift = 0.0
         collisions = 0

@@ -1,12 +1,15 @@
 """Sliding-window pair corpus and the alias table for noise negatives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperwalk.corpus import AliasTable, build_corpus
-from hyperwalk.walk import Walks
+from hyperwalk.corpus import AliasTable, SampleCorpus, build_corpus
+from hyperwalk.synthetic import two_block_graph
+from hyperwalk.walk import WalkConfig, Walks, generate_walks
 
 
 def pair_set(c):
@@ -48,6 +51,41 @@ def test_build_corpus_rejects_bad_window():
     for window in (0, -1):
         with pytest.raises(ValueError, match="window"):
             build_corpus(Walks.from_lists([[0, 1, 2]]), window=window, n_nodes=3)
+
+
+@pytest.mark.parametrize(
+    "pairs, n_nodes, bad",
+    [
+        ([[0, 5]], 3, "5"),  # past the last node
+        ([[-1, 0]], 3, "-1"),
+        ([[0, 2**32 + 1]], 3, "4294967297"),  # would wrap to node 1 as int32
+    ],
+)
+def test_sample_corpus_rejects_entries_that_are_not_nodes(pairs, n_nodes, bad):
+    with pytest.raises(ValueError, match=rf"pair entry {bad} is not a node index"):
+        SampleCorpus(np.array(pairs, dtype=np.int64), n_nodes)
+
+
+def test_sample_corpus_rejects_more_nodes_than_int32_indexes():
+    with pytest.raises(ValueError, match="n_nodes .* got 2147483648"):
+        SampleCorpus(np.array([[0, 1]]), n_nodes=2**31)
+
+
+def test_corpus_build_traces_at_most_12_bytes_a_pair():
+    # int32 pairs are 8 bytes a pair; the rest is one offset's gathered
+    # column and node_freq's counting chunk. int64 pairs would be 16.
+    g = two_block_graph(np.random.default_rng(0))
+    walks = generate_walks(g, WalkConfig(walks_per_node=10, walk_length=80, seed=0))
+    tracemalloc.start()
+    try:
+        c = build_corpus(walks, window=5, n_nodes=g.n_nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(c) > 4_000_000
+    assert peak / len(c) <= 12
+    # node_freq counted over several chunks
+    assert np.array_equal(c.node_freq, np.bincount(c.pairs.ravel(), minlength=g.n_nodes))
 
 
 def test_alias_table_matches_weights():
@@ -121,5 +159,6 @@ walk_sets = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), max_s
 def test_build_corpus_matches_the_per_walk_reference(walks, window):
     c = build_corpus(Walks.from_lists(walks), window=window, n_nodes=5)
     want = reference_build_corpus(walks, window)
+    assert c.pairs.dtype == np.int32
     assert np.array_equal(c.pairs, want)
     assert np.array_equal(c.node_freq, np.bincount(want.ravel(), minlength=5))

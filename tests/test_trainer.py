@@ -242,6 +242,19 @@ def test_training_pulls_linked_nodes_together():
     assert within < across
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("n", [1, 10, 1_000, 751_660])
+def test_in_place_shuffle_gives_the_permutation_order(n, dtype):
+    # train shuffles one arange in place and sorts it back between epochs;
+    # byte-identical training rests on this giving permutation's order
+    rng, ref = substream(3, seeding.SHUFFLE), substream(3, seeding.SHUFFLE)
+    order = np.arange(n, dtype=dtype)
+    for _ in range(2):
+        order.sort()
+        rng.shuffle(order)
+        assert np.array_equal(order, ref.permutation(n))
+
+
 def test_noise_collision_share_counts_draws_equal_to_anchor_or_partner():
     # one edge, two nodes: every noise draw is the anchor or its partner
     g = TypedGraph([("a", "A"), ("b", "B")], [(0, 1)])
