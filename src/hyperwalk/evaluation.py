@@ -305,17 +305,17 @@ def region_stats(
     """Radial hierarchy bands for one node type.
 
     Each node goes to the first band whose upper boundary is >= its
-    hyperbolic distance to the disk origin (measured on the projected
-    Poincare ball); nodes beyond the last boundary land in an overflow
-    bucket. Boundaries must be a non-empty, strictly increasing list.
+    hyperbolic distance to the origin, arccosh of its time coordinate: the
+    same radius as on the projected Poincare ball, without the ball's loss
+    of precision as |p| -> 1. Nodes beyond the last boundary land in an
+    overflow bucket. Boundaries must be a non-empty, strictly increasing list.
     """
     bounds = [float(b) for b in boundaries]
     if not bounds or not all(a < b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"boundaries must be non-empty and strictly increasing, got {bounds}")
     nt = g.node_type(t)
     nodes = g.nodes_of_type(nt)
-    p = lorentz.to_poincare(emb.coords[nodes])
-    radius = np.asarray(lorentz.poincare_distance(np.zeros(p.shape[1]), p))
+    radius = np.asarray(lorentz.hyperbolic_distance(lorentz.origin(emb.dim), emb.coords[nodes]))
     degrees = g.degrees()[nodes].astype(np.float64)
     band = np.searchsorted(bounds, radius, side="left")
     report = RegionReport(node_type=nt.label, boundaries=bounds)
@@ -337,13 +337,14 @@ def export_projection(emb: EmbeddingTable, out, g: TypedGraph) -> None:
     """Poincare-disk projection TSV: node_id, type, p_1, p_2, radius.
 
     For dim > 2, the point is restricted to its first two spatial
-    coordinates (time coordinate recomputed) before projecting.
+    coordinates (time coordinate recomputed) before projecting. The radius
+    is the restricted point's hyperbolic distance to the origin.
     """
     coords = emb.coords
     if emb.dim > 2:
         coords = lorentz.normalize(coords[:, [0, 1, -1]])
     p = lorentz.to_poincare(coords)
-    radius = np.asarray(lorentz.poincare_distance(np.zeros(2), p))
+    radius = np.asarray(lorentz.hyperbolic_distance(lorentz.origin(2), coords))
     with open(out, "w", encoding="utf-8") as f:
         for v in range(emb.n_nodes):
             label = g.node_types[g.node_type_of[v]].label

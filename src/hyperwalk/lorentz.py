@@ -5,6 +5,14 @@ plain float64 arrays of n+1 ambient coordinates with the time-like
 coordinate last. All functions broadcast over leading axes, so a table of
 points of shape (m, n+1) works everywhere a single point does.
 
+Any memory order works, and the results agree across orders up to the
+rounding of the sums' order. The trainer passes (m, n+1) transposed views
+of feature-major (n+1, m) blocks: NumPy then runs each elementwise product
+and each sum over the coordinate axis along the m points, in contiguous
+memory, instead of one short loop over n+1 coordinates per point, and the
+outputs keep that order. ``normalize`` takes its sum of squares with
+``np.einsum``, which forms no (m, n) temporary.
+
 The trainer's gradient pipeline follows the standard Lorentz-model RSGD convention:
 Euclidean partial derivatives, sign flip on the time-like coordinate,
 projection onto the tangent space, then an exact exponential-map step.
@@ -48,8 +56,9 @@ def origin(n: int) -> np.ndarray:
 def normalize(x: np.ndarray) -> np.ndarray:
     """Re-project onto the hyperboloid by recomputing the time coordinate."""
     x = np.asarray(x, dtype=np.float64)
-    out = x.copy()
-    out[..., -1] = np.sqrt(1.0 + np.sum(x[..., :-1] ** 2, axis=-1))
+    out = np.copy(x)  # keeps x's memory order; x.copy() would force C order
+    spatial = x[..., :-1]
+    out[..., -1] = np.sqrt(1.0 + np.einsum("...i,...i->...", spatial, spatial))
     return out
 
 
@@ -82,15 +91,13 @@ def exp_map(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     sq = np.clip(minkowski_inner(u, u), 0.0, None)
     r = np.sqrt(np.asarray(sq))
     small = r < _SMALL_NORM
-    if not np.any(small):
-        return np.cosh(r)[..., None] * x + (np.sinh(r) / r)[..., None] * u
+    # one expression for every row: below _SMALL_NORM both coefficients are
+    # 1, which gives the first-order series x + u exactly (sinh(r)/r is 0/0
+    # at r = 0), and only the per-row coefficients are chosen by np.where
     safe = np.where(small, 1.0, r)
-    out = np.where(
-        small[..., None],
-        x + u,  # first-order series; sinh(r)/r is 0/0 at r = 0
-        np.cosh(safe)[..., None] * x + (np.sinh(safe) / safe)[..., None] * u,
-    )
-    return out
+    a = np.where(small, 1.0, np.cosh(safe))
+    b = np.where(small, 1.0, np.sinh(safe) / safe)
+    return a[..., None] * x + b[..., None] * u
 
 
 def to_poincare(x: np.ndarray) -> np.ndarray:

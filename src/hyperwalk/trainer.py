@@ -132,11 +132,13 @@ def _sq_dist_grad_factor(d: np.ndarray) -> np.ndarray:
 def _pair_terms(U: np.ndarray, W: np.ndarray):
     """Loss and ambient gradients for B pairs against their candidate sets.
 
-    U: (B, n+1) anchors; W: (B, K, n+1) with the positive partner first.
-    Returns per-pair losses, softmax weights, and Minkowski-raised ambient
-    gradients for anchors (B, n+1) and candidates (B, K, n+1).
+    Feature-major: U is (n+1, B) anchors and W is (n+1, B, K) candidates with
+    the positive partner first, so each coordinate's values sit in one
+    contiguous block. Returns per-pair losses (B,), softmax weights (B, K)
+    and Minkowski-raised ambient gradients for the anchors (n+1, B) and the
+    candidates (n+1, B, K).
     """
-    inner = np.einsum("bd,bkd->bk", U[:, :-1], W[:, :, :-1]) - U[:, -1:] * W[:, :, -1]
+    inner = np.einsum("db,dbk->bk", U[:-1], W[:-1]) - U[-1][:, None] * W[-1]
     a = np.clip(-inner, 1.0, None)
     d = lorentz._arccosh(a)
     s = -d * d
@@ -147,17 +149,9 @@ def _pair_terms(U: np.ndarray, W: np.ndarray):
     coeff = -p
     coeff[:, 0] += 1.0  # d loss / d (d^2) per candidate
     c = coeff * _sq_dist_grad_factor(d)
-    grad_u = -np.einsum("bk,bkd->bd", c, W)
-    grad_w = -c[:, :, None] * U[:, None, :]
+    grad_u = -np.einsum("bk,dbk->db", c, W)
+    grad_w = -c * U[:, :, None]
     return loss, p, grad_u, grad_w
-
-
-def pair_softmax(e_u: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Softmax weights exp(-d^2) over a candidate set; sums to 1."""
-    U = np.asarray(e_u, dtype=np.float64)[None, :]
-    W = np.asarray(candidates, dtype=np.float64)[None, :, :]
-    _, p, _, _ = _pair_terms(U, W)
-    return p[0]
 
 
 def _stack_candidates(e_v, negs):
@@ -166,8 +160,8 @@ def _stack_candidates(e_v, negs):
 
 
 def pair_loss(e_u, e_v, negs=()) -> float:
-    W = _stack_candidates(e_v, negs)[None, :, :]
-    loss, _, _, _ = _pair_terms(np.asarray(e_u, dtype=np.float64)[None, :], W)
+    W = _stack_candidates(e_v, negs)
+    loss, _, _, _ = _pair_terms(np.asarray(e_u, dtype=np.float64)[:, None], W.T[:, None, :])
     return float(loss[0])
 
 
@@ -175,9 +169,9 @@ def pair_gradients(e_u, e_v, negs=()):
     """Tangent-space gradients of the pair loss for u, v, and each negative."""
     e_u = np.asarray(e_u, dtype=np.float64)
     W = _stack_candidates(e_v, negs)
-    _, _, grad_u, grad_w = _pair_terms(e_u[None, :], W[None, :, :])
-    gu = lorentz.project_to_tangent(e_u, grad_u[0])
-    gw = lorentz.project_to_tangent(W, grad_w[0])
+    _, _, grad_u, grad_w = _pair_terms(e_u[:, None], W.T[:, None, :])
+    gu = lorentz.project_to_tangent(e_u, grad_u[:, 0])
+    gw = lorentz.project_to_tangent(W, grad_w[:, 0].T)
     return gu, gw[0], [gw[i] for i in range(1, W.shape[0])]
 
 
@@ -190,7 +184,16 @@ def train(
     int32 (int64 past 2**31 - 1 pairs), shuffled in place: the order
     ``Generator.permutation`` gives, at 4 bytes a pair and without its
     int64 copy.
-    Per batch: fresh noise negatives, gradients summed per node, one
+    The epoch loop keeps the table feature-major, as one C-contiguous
+    (dim + 1, n_nodes) array, and writes it back to the row-major
+    ``table.coords`` once at the end. Each batch gathers (dim + 1, rows)
+    blocks from it, so every per-row Minkowski sum and broadcast runs along
+    the rows in contiguous memory, not across dim + 1 coordinates per row.
+    Per batch, in this order: one draw of fresh noise negatives, one
+    ``_pair_terms`` call for the losses and gradients of all its pairs, one
+    ``bincount`` per coordinate that sums the gradients per touched node,
+    then one call each of ``lorentz.project_to_tangent``, ``exp_map`` and
+    ``normalize`` on (touched, dim + 1) transposed views of the blocks: one
     exponential-map step per touched node, then re-normalization. The
     per-batch cost scales with the rows the batch touches, not with
     ``g.n_nodes``; only one scan of an n_nodes-long boolean mark is not.
@@ -206,14 +209,14 @@ def train(
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     table = init_embeddings(g, dim, INIT_SCALE, seeding.substream(cfg.seed, seeding.INIT))
-    coords = table.coords
+    coords = np.ascontiguousarray(table.coords.T)  # feature-major (dim + 1, n_nodes)
     neg_rng = seeding.substream(cfg.seed, seeding.NEGATIVES)
     shuffle_rng = seeding.substream(cfg.seed, seeding.SHUFFLE)
     k = cfg.negatives_per_positive
     noise = corpus.noise_table
     pairs = corpus.pairs
     # reused by every batch: seen marks the rows a batch touches (and is
-    # cleared after), slot maps a touched node to its row in the batch's sums
+    # cleared after), slot maps a touched node to its column in the batch's sums
     seen = np.zeros(g.n_nodes, dtype=bool)
     slot = np.empty(g.n_nodes, dtype=np.int64)
     fits_int32 = len(pairs) <= np.iinfo(np.int32).max
@@ -235,8 +238,8 @@ def train(
             hits = (negs == u_idx[:, None]) | (negs == v_idx[:, None])
             collisions += int(np.count_nonzero(hits))
             w_idx = np.concatenate([v_idx[:, None], negs], axis=1)
-            U = np.take(coords, u_idx, axis=0)
-            W = np.take(coords, w_idx, axis=0)
+            U = np.take(coords, u_idx, axis=1)
+            W = np.take(coords, w_idx, axis=1)
             loss, _, grad_u, grad_w = _pair_terms(U, W)
             batch_loss = float(loss.sum())
             if not np.isfinite(batch_loss):
@@ -247,21 +250,22 @@ def train(
             # pairs in one batch takes one averaged step, so step sizes stay
             # O(lr) no matter how often a hub appears in the batch
             flat_idx = np.concatenate([u_idx, w_idx.ravel()])
-            flat_grad = np.concatenate([grad_u, grad_w.reshape(-1, dim + 1)])
+            flat_grad = np.concatenate([grad_u, grad_w.reshape(dim + 1, -1)], axis=1)
             seen[flat_idx] = True
             touched = np.flatnonzero(seen)  # ascending node order
             seen[touched] = False
             slot[touched] = np.arange(touched.size)
             flat_slot = slot[flat_idx]
-            # a bincount per column adds each node's terms in batch order, over
-            # the touched rows only: its length does not grow with n_nodes
-            acc = np.empty((touched.size, dim + 1))
+            # a bincount per coordinate adds each node's terms in batch order,
+            # over the touched columns only: its length does not grow with n_nodes
+            acc = np.empty((dim + 1, touched.size))
             for j in range(dim + 1):
-                acc[:, j] = np.bincount(flat_slot, weights=flat_grad[:, j], minlength=touched.size)
-            acc /= np.bincount(flat_slot, minlength=touched.size)[:, None]
-            x = np.take(coords, touched, axis=0)
-            step = lorentz.project_to_tangent(x, -cfg.lr * acc)
-            moved = lorentz.exp_map(x, step)
+                acc[j] = np.bincount(flat_slot, weights=flat_grad[j], minlength=touched.size)
+            acc /= np.bincount(flat_slot, minlength=touched.size)
+            x = np.take(coords, touched, axis=1)
+            # (touched, dim + 1) views: lorentz sees one point per row
+            step = lorentz.project_to_tangent(x.T, -cfg.lr * acc.T)
+            moved = lorentz.exp_map(x.T, step)
             if not np.all(np.isfinite(moved)):
                 raise TrainingDiverged(
                     f"non-finite update in epoch {epoch}, batch {b0 // cfg.batch_size}"
@@ -271,7 +275,7 @@ def train(
             # so the drift |<moved, moved>_M + 1| it removes is |t'^2 - t^2|
             drift = np.abs(normalized[:, -1] ** 2 - moved[:, -1] ** 2)
             max_drift = max(max_drift, float(drift.max()))
-            coords[touched] = normalized
+            coords[:, touched] = normalized.T
             loss_sum += batch_loss
         history.append(
             {
@@ -282,4 +286,5 @@ def train(
                 "noise_collision_share": collisions / (len(pairs) * k),
             }
         )
+    table.coords[...] = coords.T
     return table, history

@@ -34,6 +34,21 @@ def test_a_short_traced_bench_run_is_correct():
     assert result["correct"] is True, done.stderr
 
 
+def test_a_short_traced_training_run_counts_one_kernel_call_per_batch():
+    # bench/run.py checks that _pair_terms runs once per batch and that train's
+    # children and self time add up to train.s; only a workload that trains
+    # runs those checks. Update rows count touched nodes, not d + 1 per batch.
+    done = run_from_root("bench/run.py", "--workload", "dblp_reconstruct", "--seed", "0",
+                         "--seconds", "0.1", "--trace", "1")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True, done.stderr
+    m = {name: metric["value"] for name, metric in result["metrics"].items()}
+    assert m["train.batches"] > 0
+    assert m["train.pair_terms.calls"] == m["train.batches"] == m["train.update.calls"]
+    assert m["train.update.rows"] > 100 * m["train.batches"]
+
+
 def test_every_attribute_the_bench_tracer_patches_exists(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     bench = importlib.import_module("run")

@@ -457,6 +457,20 @@ def test_region_assignment_uses_poincare_radius():
     assert rep.overflow.count == 1
 
 
+def test_region_radius_holds_far_from_the_origin(tmp_path):
+    # at radius 40 the Poincare point rounds onto the unit sphere, where the
+    # ball's distance formula no longer resolves it; arccosh(x_t) still does
+    emb = place_on_line([20.0, 40.0])
+    assert np.linalg.norm(lorentz.to_poincare(emb.coords[1])) == 1.0
+    g = TypedGraph([("n0", "N"), ("n1", "N")], [(0, 1)])
+    rep = region_stats(g, emb, "N", boundaries=[19.9, 20.1, 39.9, 40.1])
+    assert [b.count for b in rep.regions] == [0, 1, 0, 1] and rep.overflow.count == 0
+    out = tmp_path / "proj.tsv"
+    export_projection(emb, out, g)
+    radii = [float(line.split("\t")[4]) for line in out.read_text().splitlines()]
+    assert radii == pytest.approx([20.0, 40.0], rel=1e-12)
+
+
 def test_region_stats_rejects_boundaries_out_of_order():
     g = two_block_graph(np.random.default_rng(0), sizes=(30, 6, 30))
     emb = init_embeddings(g, 2, 1.0, np.random.default_rng(0))

@@ -13,11 +13,10 @@ from hyperwalk.trainer import (
     load_embeddings_for_graph,
     pair_gradients,
     pair_loss,
-    pair_softmax,
     train,
 )
 from hyperwalk.walk import WalkConfig, Walks, generate_walks
-from tests.conftest import random_point
+from tests.conftest import random_point, random_points
 
 
 def point_at(direction, length):
@@ -45,13 +44,16 @@ def test_pair_loss_no_negatives_is_zero():
     assert pair_loss(e_u, e_u.copy()) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_pair_softmax_sums_to_one_and_prefers_near_candidates():
+def test_pair_weights_sum_to_one_and_prefer_near_candidates():
+    # _pair_terms' softmax weights over one pair's candidates, feature-major
     e_u = lorentz.origin(2)
     near = point_at([1.0, 0.0], 0.5)
     far = point_at([0.0, 1.0], 2.5)
-    p = pair_softmax(e_u, np.stack([near, far]))
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert p[0] > p[1]
+    W = np.stack([near, far], axis=1)[:, None, :]  # (n+1, B=1, K=2)
+    _, p, _, _ = trainer._pair_terms(e_u[:, None], W)
+    assert p.shape == (1, 2)
+    assert p[0].sum() == pytest.approx(1.0, abs=1e-12)
+    assert p[0, 0] > p[0, 1]
 
 
 def test_pair_loss_decreases_as_positive_approaches():
@@ -59,6 +61,83 @@ def test_pair_loss_decreases_as_positive_approaches():
     e_u = lorentz.origin(2)
     losses = [pair_loss(e_u, point_at([1.0, 0.0], r), [neg]) for r in (2.0, 1.0, 0.25)]
     assert losses[0] > losses[1] > losses[2]
+
+
+# --- the feature-major batch kernels against row-major references ---------
+
+
+def row_major_pair_terms(U, W):
+    """The row-major batch formula of ``_pair_terms``: U (B, n+1) anchors,
+    W (B, K, n+1) candidates, gradients (B, n+1) and (B, K, n+1)."""
+    inner = np.einsum("bd,bkd->bk", U[:, :-1], W[:, :, :-1]) - U[:, -1:] * W[:, :, -1]
+    a = np.clip(-inner, 1.0, None)
+    d = lorentz._arccosh(a)
+    s = -d * d
+    m = s.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.sum(np.exp(s - m), axis=1))
+    loss = lse - s[:, 0]
+    p = np.exp(s - lse[:, None])
+    coeff = -p
+    coeff[:, 0] += 1.0
+    c = coeff * trainer._sq_dist_grad_factor(d)
+    grad_u = -np.einsum("bk,bkd->bd", c, W)
+    grad_w = -c[:, :, None] * U[:, None, :]
+    return loss, p, grad_u, grad_w
+
+
+def assert_close_to(actual, reference, rtol):
+    # relative to the array's largest entry: a gradient sum may cancel to ~0
+    np.testing.assert_allclose(actual, reference, rtol=rtol, atol=rtol * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+@pytest.mark.parametrize("batch", [512, 37])  # a full and a partial batch
+def test_feature_major_pair_terms_match_the_row_major_formula(d, batch):
+    rng = np.random.default_rng(d * 1000 + batch)
+    k = 6
+    U = random_points(rng, batch, d, scale=2.0)
+    W = random_points(rng, batch * k, d, scale=2.0).reshape(batch, k, d + 1)
+    W[0, 0] = U[0]  # a coincident pair: its distance takes the d < 1e-7 branch
+    assert lorentz.hyperbolic_distance(U[0], W[0, 0]) < 1e-7
+    ref = row_major_pair_terms(U, W)
+    loss, p, grad_u, grad_w = trainer._pair_terms(
+        np.ascontiguousarray(U.T), np.ascontiguousarray(W.transpose(2, 0, 1))
+    )
+    assert grad_u.shape == (d + 1, batch) and grad_w.shape == (d + 1, batch, k)
+    assert_close_to(loss, ref[0], 1e-12)
+    assert_close_to(p, ref[1], 1e-12)
+    assert_close_to(grad_u.T, ref[2], 1e-12)
+    assert_close_to(grad_w.transpose(1, 2, 0), ref[3], 1e-12)
+    assert np.all(np.isfinite(grad_u[:, 0])) and np.all(np.isfinite(grad_w[:, 0, 0]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_update_kernels_agree_on_c_order_and_feature_major_views(d):
+    # train hands lorentz (rows, n+1) transposed views of (n+1, rows) blocks
+    rng = np.random.default_rng(d)
+    rows = 300
+    x = random_points(rng, rows, d, scale=2.0)
+    # steps of train's size, |step| < 2: exp_map scales a rounding difference
+    # in |step| by up to cosh(|step|), so long steps would need a looser bound
+    g = rng.normal(size=(rows, d + 1)) * 0.05
+    g[7] = 0.0  # a zero step takes exp_map's small-r branch
+    xf, gf = np.ascontiguousarray(x.T).T, np.ascontiguousarray(g.T).T
+    assert xf.flags.f_contiguous and not xf.flags.c_contiguous
+
+    step = lorentz.project_to_tangent(x, g)
+    step_f = lorentz.project_to_tangent(xf, gf)
+    assert_close_to(step_f, step, 1e-15)
+    moved = lorentz.exp_map(x, step)
+    moved_f = lorentz.exp_map(xf, step_f)
+    assert_close_to(moved_f, moved, 1e-15)
+    assert np.array_equal(moved_f[7], x[7])
+    normalized = lorentz.normalize(moved)
+    before = moved_f.copy()
+    normalized_f = lorentz.normalize(moved_f)
+    assert_close_to(normalized_f, normalized, 1e-15)
+    assert np.array_equal(moved_f, before)  # the input is left as it was
+    assert normalized_f.flags.f_contiguous  # and its memory order is kept
+    assert lorentz.normalize(moved).flags.c_contiguous
 
 
 # --- gradients ------------------------------------------------------------
@@ -268,10 +347,12 @@ def test_noise_collision_share_counts_draws_equal_to_anchor_or_partner():
 
 
 def dense_scatter_train(g, corpus, cfg, dim):
-    """Reference: train's batch loop with an (n_nodes, dim + 1) scatter array
-    and n_nodes-long bincounts per batch, plus a pair-by-pair count of noise
-    collisions. Returns (coords, history without wall_time_s)."""
-    coords = init_embeddings(g, dim, trainer.INIT_SCALE, substream(cfg.seed, seeding.INIT)).coords
+    """Reference: train's batch loop, with its feature-major blocks and its
+    ``_pair_terms`` and ``lorentz`` calls, but a (dim + 1, n_nodes) scatter
+    array and n_nodes-long bincounts per batch, plus a pair-by-pair count of
+    noise collisions. Returns (row-major coords, history without wall_time_s)."""
+    init = init_embeddings(g, dim, trainer.INIT_SCALE, substream(cfg.seed, seeding.INIT))
+    coords = np.ascontiguousarray(init.coords.T)
     neg_rng = substream(cfg.seed, seeding.NEGATIVES)
     shuffle_rng = substream(cfg.seed, seeding.SHUFFLE)
     k = cfg.negatives_per_positive
@@ -290,22 +371,26 @@ def dense_scatter_train(g, corpus, cfg, dim):
             for u, v, row in zip(u_idx, v_idx, negs):
                 collisions += sum(n in (u, v) for n in row)
             w_idx = np.concatenate([v_idx[:, None], negs], axis=1)
-            loss, _, grad_u, grad_w = trainer._pair_terms(coords[u_idx], coords[w_idx])
+            # np.take, as train gathers: coords[:, idx] lays a block out in
+            # another memory order, and the kernels' sums round by layout
+            U = np.take(coords, u_idx, axis=1)
+            W = np.take(coords, w_idx, axis=1)
+            loss, _, grad_u, grad_w = trainer._pair_terms(U, W)
             flat_idx = np.concatenate([u_idx, w_idx.ravel()])
-            flat_grad = np.concatenate([grad_u, grad_w.reshape(-1, dim + 1)])
-            acc_full = np.empty((g.n_nodes, dim + 1))
+            flat_grad = np.concatenate([grad_u, grad_w.reshape(dim + 1, -1)], axis=1)
+            acc_full = np.empty((dim + 1, g.n_nodes))
             for j in range(dim + 1):
-                acc_full[:, j] = np.bincount(flat_idx, weights=flat_grad[:, j], minlength=g.n_nodes)
+                acc_full[j] = np.bincount(flat_idx, weights=flat_grad[j], minlength=g.n_nodes)
             counts = np.bincount(flat_idx, minlength=g.n_nodes)
             touched = np.flatnonzero(counts)
-            acc = acc_full[touched] / counts[touched, None]
-            x = coords[touched]
-            step = lorentz.project_to_tangent(x, -cfg.lr * acc)
-            moved = lorentz.exp_map(x, step)
+            acc = np.take(acc_full, touched, axis=1) / counts[touched]
+            x = np.take(coords, touched, axis=1)
+            step = lorentz.project_to_tangent(x.T, -cfg.lr * acc.T)
+            moved = lorentz.exp_map(x.T, step)
             normalized = lorentz.normalize(moved)
             drift = np.abs(normalized[:, -1] ** 2 - moved[:, -1] ** 2)
             max_drift = max(max_drift, float(drift.max()))
-            coords[touched] = normalized
+            coords[:, touched] = normalized.T
             loss_sum += float(loss.sum())
         history.append(
             {
@@ -315,7 +400,7 @@ def dense_scatter_train(g, corpus, cfg, dim):
                 "noise_collision_share": collisions / (len(pairs) * k),
             }
         )
-    return coords, history
+    return coords.T, history
 
 
 def test_train_matches_dense_scatter_reference():
