@@ -1,7 +1,12 @@
 """Network reconstruction, link prediction, and hierarchy diagnostics.
 
 Pairs are scored by negated hyperbolic distance between their embeddings;
-AUC uses the Mann-Whitney rank statistic with half credit for ties.
+AUC is the Mann-Whitney statistic with half credit for ties.
+
+Every step whose size grows with the number of scored pairs (up to
+``max_neg`` non-edges) works through the pairs in blocks of ``BLOCK``, so
+memory is the pair and score arrays plus O(BLOCK) temporaries. AUC sorts
+the negative scores once and counts.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.stats import rankdata
 
 from . import lorentz
 from .graph import EdgeType, GraphError, TypedGraph
 from .trainer import EmbeddingTable
 
 DEFAULT_MAX_NEG = 1_000_000
+# pairs gathered, scored or tested for edge membership at a time
+BLOCK = 65_536
 
 
 @dataclass
@@ -49,16 +55,18 @@ class LinkSplit:
     warning: str | None = None
 
 
-def score_pair(emb: EmbeddingTable, u: int, v: int) -> float:
-    """Higher score = more likely linked; the maximum 0.0 is at u = v."""
-    return -lorentz.hyperbolic_distance(emb.point(u), emb.point(v))
-
-
 def _score_pairs(emb: EmbeddingTable, pairs: np.ndarray) -> np.ndarray:
+    """Negated hyperbolic distance of each (u, v) row: higher = more likely linked.
+
+    Each block of pairs is gathered and scored on its own; a pair's score
+    depends on that pair alone, so the blocks do not change its bits.
+    """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return -np.asarray(
-        lorentz.hyperbolic_distance(emb.coords[pairs[:, 0]], emb.coords[pairs[:, 1]])
-    )
+    out = np.empty(len(pairs))
+    for s in range(0, len(pairs), BLOCK):
+        p = pairs[s : s + BLOCK]
+        out[s : s + len(p)] = lorentz.hyperbolic_distance(emb.coords[p[:, 0]], emb.coords[p[:, 1]])
+    return np.negative(out, out=out)
 
 
 def _isolated_pairs(g: TypedGraph, *pair_sets: np.ndarray) -> int:
@@ -68,15 +76,24 @@ def _isolated_pairs(g: TypedGraph, *pair_sets: np.ndarray) -> int:
 
 
 def auc(pos_scores, neg_scores) -> float:
-    """P(random positive outscores random negative), ties counted half."""
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
+    """P(random positive outscores random negative), ties counted half.
+
+    Sorts the negatives once and counts, for each positive, the negatives
+    below it and up to it. ``2 * wins + ties`` is an exact integer, so the
+    result is the rank-sum (Mann-Whitney) formula's to the last bit. A NaN
+    score on either side gives NaN.
+    """
+    pos = np.asarray(pos_scores, dtype=np.float64).ravel()
+    neg = np.asarray(neg_scores, dtype=np.float64).ravel()
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both score sets must be nonempty")
-    ranks = rankdata(np.concatenate([pos, neg]))
-    return float(
-        (ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
-    )
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        return float("nan")
+    neg = np.sort(neg)
+    below = np.searchsorted(neg, pos, side="left")
+    up_to = np.searchsorted(neg, pos, side="right")
+    twice_wins = int(below.sum()) + int(up_to.sum())
+    return twice_wins / (2 * pos.size * neg.size)
 
 
 def _compatible_sides(g: TypedGraph, et: EdgeType) -> tuple[np.ndarray, np.ndarray]:
@@ -84,22 +101,34 @@ def _compatible_sides(g: TypedGraph, et: EdgeType) -> tuple[np.ndarray, np.ndarr
     return g.nodes_of_type(ta), g.nodes_of_type(tb)
 
 
+def _n_compatible_pairs(et: EdgeType, A: np.ndarray, B: np.ndarray) -> int:
+    """Unordered pairs of distinct nodes with one end in A and one in B."""
+    ta, tb = et.endpoint_types
+    return A.size * B.size if ta != tb else A.size * (A.size - 1) // 2
+
+
 def _sample_non_edges(g: TypedGraph, et: EdgeType, k: int, rng) -> np.ndarray:
-    """k type-compatible non-edges of g, uniform per side, with replacement."""
+    """k type-compatible non-edges of g, uniform per side, with replacement.
+
+    Each attempt draws its candidates' indices into A and B whole, then
+    gathers and tests them a block at a time and stops once k are kept.
+    """
     A, B = _compatible_sides(g, et)
     out = np.empty((k, 2), dtype=np.int64)
     filled = 0
     attempts = 0
     while filled < k:
         m = max(k - filled, 64)
-        us = A[rng.integers(A.size, size=m)]
-        vs = B[rng.integers(B.size, size=m)]
-        ok = ~g.has_edges(us, vs) & (us != vs)
-        take = min(int(ok.sum()), k - filled)
-        sel = np.flatnonzero(ok)[:take]
-        out[filled : filled + take, 0] = us[sel]
-        out[filled : filled + take, 1] = vs[sel]
-        filled += take
+        iu = rng.integers(A.size, size=m)
+        iv = rng.integers(B.size, size=m)
+        for s in range(0, m, BLOCK):
+            u, v = A[iu[s : s + BLOCK]], B[iv[s : s + BLOCK]]
+            sel = np.flatnonzero(~g.has_edges(u, v) & (u != v))[: k - filled]
+            out[filled : filled + sel.size, 0] = u[sel]
+            out[filled : filled + sel.size, 1] = v[sel]
+            filled += sel.size
+            if filled == k:
+                break
         attempts += 1
         if attempts > 10_000:
             raise GraphError(f"cannot sample non-edges for edge type {et.label!r}")
@@ -107,15 +136,28 @@ def _sample_non_edges(g: TypedGraph, et: EdgeType, k: int, rng) -> np.ndarray:
 
 
 def _all_non_edges(g: TypedGraph, et: EdgeType) -> np.ndarray:
+    """Every type-compatible non-edge, in row-major (A, B) order.
+
+    Pairs are built and tested for about ``BLOCK`` at a time, a block of A
+    rows against all of B.
+    """
     A, B = _compatible_sides(g, et)
     ta, tb = et.endpoint_types
-    uu, vv = np.meshgrid(A, B, indexing="ij")
-    us, vs = uu.ravel(), vv.ravel()
-    if ta == tb:
-        keep = us < vs
-        us, vs = us[keep], vs[keep]
-    is_edge = g.has_edges(us, vs)
-    return np.stack([us[~is_edge], vs[~is_edge]], axis=1)
+    out = np.empty((_n_compatible_pairs(et, A, B), 2), dtype=np.int64)
+    filled = 0
+    rows = max(BLOCK // max(B.size, 1), 1)
+    for s in range(0, A.size, rows):
+        uu, vv = np.meshgrid(A[s : s + rows], B, indexing="ij")
+        us, vs = uu.ravel(), vv.ravel()
+        if ta == tb:
+            keep = us < vs
+            us, vs = us[keep], vs[keep]
+        non = ~g.has_edges(us, vs)
+        n = int(non.sum())
+        out[filled : filled + n, 0] = us[non]
+        out[filled : filled + n, 1] = vs[non]
+        filled += n
+    return out[:filled]
 
 
 def reconstruct(
@@ -128,16 +170,16 @@ def reconstruct(
     """AUC of true edges of type t against type-compatible non-edges.
 
     Enumerates all non-edges when their count fits max_neg, otherwise takes
-    a uniform sample of max_neg (flagged in the report).
+    a uniform sample of max_neg (flagged in the report). Pairs are sampled or
+    enumerated, and scored, in blocks of ``BLOCK``: memory is the O(max_neg)
+    pair and score arrays plus O(BLOCK) temporaries.
     """
     et = g.edge_type(t)
     positives = g.edges_of_type(et)
     if len(positives) == 0:
         raise GraphError(f"no edges of type {et.label!r}")
     A, B = _compatible_sides(g, et)
-    ta, tb = et.endpoint_types
-    total = A.size * B.size if ta != tb else A.size * (A.size - 1) // 2
-    n_non = total - len(positives)
+    n_non = _n_compatible_pairs(et, A, B) - len(positives)
     if n_non <= 0:
         raise GraphError(f"edge type {et.label!r} is complete: no non-edges exist")
     sampled = n_non > max_neg

@@ -65,9 +65,6 @@ class EmbeddingTable:
     def n_nodes(self) -> int:
         return self.coords.shape[0]
 
-    def point(self, v: int) -> np.ndarray:
-        return self.coords[v]
-
     def save_tsv(self, path, g: TypedGraph) -> None:
         """``node_id<TAB>type_label<TAB>x_1<TAB>...<TAB>x_{d+1}``.
 

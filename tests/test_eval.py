@@ -1,15 +1,21 @@
 """Reconstruction/link-prediction AUC, splits, regions, projection."""
 
 import json
+import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from hyperwalk import lorentz
+from hyperwalk import evaluation, lorentz
 from hyperwalk.evaluation import (
+    _all_non_edges,
+    _sample_non_edges,
+    _score_pairs,
     auc,
     export_projection,
     LinkSplit,
@@ -18,11 +24,11 @@ from hyperwalk.evaluation import (
     reconstruct,
     region_stats,
     save_link_split,
-    score_pair,
 )
 from hyperwalk.graph import TypedGraph
-from hyperwalk.synthetic import two_block_graph
-from hyperwalk.trainer import EmbeddingTable, init_embeddings
+from hyperwalk.seeding import NONEDGES, substream
+from hyperwalk.synthetic import dblp_shaped_graph, two_block_graph
+from hyperwalk.trainer import INIT_SCALE, EmbeddingTable, init_embeddings
 from tests.conftest import random_points
 
 
@@ -33,6 +39,20 @@ def brute_force_auc(pos, neg):
 
 def embed_at(points):
     return EmbeddingTable(np.asarray(points, dtype=np.float64))
+
+
+def neg_distance(emb, u, v):
+    return -lorentz.hyperbolic_distance(emb.coords[u], emb.coords[v])
+
+
+def rank_sum_auc(pos, neg):
+    """The Mann-Whitney rank-sum formula over scipy's tie-averaged ranks."""
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    ranks = rankdata(np.concatenate([pos, neg]))
+    return float(
+        (ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
+    )
 
 
 # --- auc ------------------------------------------------------------------
@@ -83,16 +103,56 @@ def test_auc_invariant_under_increasing_transforms(seed, scale):
     assert auc(np.exp(scale * pos), np.exp(scale * neg)) == pytest.approx(base, abs=1e-9)
 
 
-# --- score_pair and reconstruct ------------------------------------------
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["ties", "continuous", "inf"]))
+@settings(max_examples=90, deadline=None)
+def test_auc_equals_the_rank_sum_formula_bitwise(seed, kind):
+    rng = np.random.default_rng(seed)
+    pos_neg = []
+    for _ in range(2):
+        n = int(rng.integers(1, 300))
+        if kind == "ties":
+            x = rng.integers(0, int(rng.integers(1, 12)), size=n).astype(float)
+        else:
+            x = rng.normal(size=n)
+        if kind == "inf":
+            x[rng.random(n) < 0.2] = np.inf
+            x[rng.random(n) < 0.2] = -np.inf
+        pos_neg.append(x)
+    got, want = auc(*pos_neg), rank_sum_auc(*pos_neg)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_auc_is_nan_when_a_score_is_nan(side):
+    scores = [np.array([0.5, 1.0, 2.0]), np.array([0.0, 1.0])]
+    scores[side][1] = np.nan
+    assert math.isnan(rank_sum_auc(*scores))
+    assert math.isnan(auc(*scores))
+
+
+# --- _score_pairs and reconstruct ----------------------------------------
 
 
 def test_score_pair_is_negated_distance(rng):
     pts = random_points(rng, 4, 3)
     emb = embed_at(pts)
-    s = score_pair(emb, 0, 1)
-    assert s == pytest.approx(-lorentz.hyperbolic_distance(pts[0], pts[1]), abs=1e-12)
-    assert s == score_pair(emb, 1, 0)
-    assert score_pair(emb, 2, 2) == pytest.approx(0.0, abs=1e-6)
+    s = _score_pairs(emb, np.array([[0, 1], [1, 0], [2, 2]]))
+    assert s[0] == pytest.approx(-lorentz.hyperbolic_distance(pts[0], pts[1]), abs=1e-12)
+    assert s[0] == s[1] == neg_distance(emb, 0, 1)
+    assert s[2] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 21, 100])
+def test_score_pairs_in_blocks_equals_whole_array_scoring_bitwise(monkeypatch, rng, n):
+    monkeypatch.setattr(evaluation, "BLOCK", 7)
+    emb = embed_at(random_points(rng, 30, 10, scale=3.0))
+    pairs = rng.integers(0, 30, size=(n, 2))
+    # scored first: np.empty may reuse the reference's freed buffer and hide unwritten scores
+    got = _score_pairs(emb, pairs)
+    whole = -np.asarray(
+        lorentz.hyperbolic_distance(emb.coords[pairs[:, 0]], emb.coords[pairs[:, 1]])
+    )
+    assert got.shape == (n,) and got.tobytes() == whole.tobytes()
 
 
 def geometric_line_graph():
@@ -127,9 +187,9 @@ def test_reconstruct_matches_brute_force(rng):
     g = geometric_line_graph()
     emb = embed_at(random_points(rng, 5, 3))
     rep = reconstruct(g, emb, "A-B")
-    pos = [score_pair(emb, int(u), int(v)) for u, v in g.edges_of_type("A-B")]
+    pos = [neg_distance(emb, u, v) for u, v in g.edges_of_type("A-B")]
     neg = [
-        score_pair(emb, a, b)
+        neg_distance(emb, a, b)
         for a in (0, 1)
         for b in (2, 3, 4)
         if not g.has_edge(a, b)
@@ -171,6 +231,113 @@ def test_reports_count_pairs_that_touch_an_isolated_node(rng):
     )
     rep = link_prediction_eval(split, emb)
     assert (rep.n_pos, rep.n_neg, rep.isolated_pairs) == (1, 2, 1)
+
+
+def test_reconstruct_transient_memory_stays_bounded():
+    # 1M sampled A-P non-edges: the pairs take 16 MiB and their scores 8 MiB;
+    # scoring and ranking them as whole arrays peaked at about 275 MiB
+    g = dblp_shaped_graph(np.random.default_rng(5))
+    table = init_embeddings(g, 10, INIT_SCALE, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        rep = reconstruct(g, table, "A-P", rng=substream(5, NONEDGES))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.negatives_sampled and rep.n_neg == evaluation.DEFAULT_MAX_NEG
+    assert peak < 64 * 2**20, f"reconstruct peaked at {peak / 2**20:.1f} MiB"
+
+
+# --- non-edges ------------------------------------------------------------
+
+
+def sample_non_edges_whole(g, et, k, rng):
+    """Non-edge sampling with each attempt's candidates tested all at once.
+
+    Returns the pairs and the number of attempts.
+    """
+    A, B = (g.nodes_of_type(t) for t in et.endpoint_types)
+    out = np.empty((k, 2), dtype=np.int64)
+    filled = attempts = 0
+    while filled < k:
+        m = max(k - filled, 64)
+        us = A[rng.integers(A.size, size=m)]
+        vs = B[rng.integers(B.size, size=m)]
+        ok = ~g.has_edges(us, vs) & (us != vs)
+        take = min(int(ok.sum()), k - filled)
+        sel = np.flatnonzero(ok)[:take]
+        out[filled : filled + take, 0] = us[sel]
+        out[filled : filled + take, 1] = vs[sel]
+        filled += take
+        attempts += 1
+    return out, attempts
+
+
+def all_non_edges_whole(g, et):
+    """Every non-edge from one meshgrid of all compatible pairs."""
+    ta, tb = et.endpoint_types
+    uu, vv = np.meshgrid(g.nodes_of_type(ta), g.nodes_of_type(tb), indexing="ij")
+    us, vs = uu.ravel(), vv.ravel()
+    if ta == tb:
+        keep = us < vs
+        us, vs = us[keep], vs[keep]
+    is_edge = g.has_edges(us, vs)
+    return np.stack([us[~is_edge], vs[~is_edge]], axis=1)
+
+
+def dense_graph(rng, same_type, keep=0.85):
+    """A 10x10 bipartite A-B graph, or a 12-node X-X graph, with each
+    compatible pair an edge with probability ``keep``."""
+    if same_type:
+        nodes = [(f"x{i}", "X") for i in range(12)]
+        pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    else:
+        nodes = [(f"a{i}", "A") for i in range(10)] + [(f"b{i}", "B") for i in range(10)]
+        pairs = [(i, 10 + j) for i in range(10) for j in range(10)]
+    edges = [pair for pair, e in zip(pairs, rng.random(len(pairs)) < keep) if e]
+    g = TypedGraph(nodes, edges)
+    return g, g.edge_type("X-X" if same_type else "A-B")
+
+
+@pytest.mark.parametrize("same_type", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_non_edges_in_blocks_equals_whole_array_sampling(monkeypatch, same_type, seed):
+    monkeypatch.setattr(evaluation, "BLOCK", 5)
+    g, et = dense_graph(np.random.default_rng(seed), same_type)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_non_edges(g, et, 150, got_rng)
+    want, attempts = sample_non_edges_whole(g, et, 150, want_rng)
+    assert attempts >= 3
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the same draws were made: both generators are at the same state
+    assert got_rng.integers(2**62) == want_rng.integers(2**62)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_link_split_non_edges_in_blocks_equal_whole_array_sampling(monkeypatch, seed):
+    monkeypatch.setattr(evaluation, "BLOCK", 3)
+    g, et = dense_graph(np.random.default_rng(seed), same_type=False, keep=0.6)
+    split = make_link_split(g, "A-B", 0.3, rng=np.random.default_rng(seed))
+    want_rng = np.random.default_rng(seed)
+    want_rng.permutation(len(g.edges_of_type(et)))  # the split's removal order
+    want, _ = sample_non_edges_whole(g, et, len(split.removed_edges), want_rng)
+    assert len(want) > evaluation.BLOCK
+    assert np.array_equal(split.sampled_non_edges, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10, 23, 10_000])
+@pytest.mark.parametrize("same_type", [False, True])
+def test_all_non_edges_in_blocks_equals_one_meshgrid(monkeypatch, block, same_type):
+    monkeypatch.setattr(evaluation, "BLOCK", block)
+    g, et = dense_graph(np.random.default_rng(3), same_type, keep=0.5)
+    got, want = _all_non_edges(g, et), all_non_edges_whole(g, et)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_all_non_edges_of_a_complete_relation_is_empty(monkeypatch):
+    monkeypatch.setattr(evaluation, "BLOCK", 4)
+    g, et = dense_graph(np.random.default_rng(0), same_type=False, keep=1.0)
+    assert _all_non_edges(g, et).shape == (0, 2)
 
 
 # --- link splits ----------------------------------------------------------

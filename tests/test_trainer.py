@@ -316,8 +316,8 @@ def test_training_pulls_linked_nodes_together():
     cfg = TrainConfig(lr=0.2, batch_size=64, epochs=8, negatives_per_positive=3, seed=0)
     table, history = train(g, corpus, cfg, dim=2)
     assert history[-1]["mean_loss"] < history[0]["mean_loss"]
-    within = lorentz.hyperbolic_distance(table.point(0), table.point(1))
-    across = lorentz.hyperbolic_distance(table.point(0), table.point(3))
+    within = lorentz.hyperbolic_distance(table.coords[0], table.coords[1])
+    across = lorentz.hyperbolic_distance(table.coords[0], table.coords[3])
     assert within < across
 
 
