@@ -169,12 +169,6 @@ class TypedGraph:
             (t, self.adjacency[lo:hi]) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo
         ]
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbors of v, grouped as in :meth:`adjacency_groups`; a view."""
-        n_types = len(self.node_types)
-        lo, hi = self.type_offsets[[v * n_types, (v + 1) * n_types]]
-        return self.adjacency[lo:hi]
-
     def degrees(self) -> np.ndarray:
         """Degree of every node, indexed by node."""
         return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
@@ -196,9 +190,6 @@ class TypedGraph:
             return np.zeros(codes.shape, dtype=bool)
         i = np.minimum(np.searchsorted(self._edge_codes, codes), self._edge_codes.size - 1)
         return self._edge_codes[i] == codes
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.has_edges(u, v))
 
     def save(self, nodes_file, edges_file) -> None:
         with open(nodes_file, "w", encoding="utf-8") as f:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MANIFOLD_ATOL = 1e-9
 _SMALL_NORM = 1e-8
 
 
@@ -62,13 +61,6 @@ def normalize(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_on_manifold(x: np.ndarray, atol: float = MANIFOLD_ATOL) -> bool:
-    x = np.asarray(x, dtype=np.float64)
-    return bool(
-        np.all(np.abs(minkowski_inner(x, x) + 1.0) < atol) and np.all(x[..., -1] > 0)
-    )
-
-
 def hyperbolic_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
     """arccosh(-<x,y>_M), with the argument clamped to [1, inf)."""
     a = np.clip(-minkowski_inner(x, y), 1.0, None)
@@ -105,14 +97,3 @@ def to_poincare(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x[..., :-1] / (1.0 + x[..., -1:])
 
-
-def poincare_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray | float:
-    """Hyperbolic distance between two points of the open unit ball."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    du = np.sum(u * u, axis=-1)
-    dv = np.sum(v * v, axis=-1)
-    diff = np.sum((u - v) ** 2, axis=-1)
-    a = np.clip(1.0 + 2.0 * diff / ((1.0 - du) * (1.0 - dv)), 1.0, None)
-    out = _arccosh(a)
-    return out if np.ndim(out) else float(out)

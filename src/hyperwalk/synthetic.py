@@ -7,33 +7,28 @@ import numpy as np
 from .graph import TypedGraph
 
 
-def two_block_graph(
-    rng,
-    sizes=(290, 20, 290),
-    labels=("A", "B", "C"),
-    p_in: float = 0.2,
-    p_out: float = 0.01,
-) -> TypedGraph:
-    """Three node types split into two planted blocks, hub-spoke schema.
+def two_block_graph(rng, sizes=(290, 20, 290)) -> TypedGraph:
+    """Node types A, B and C, with ``sizes`` nodes in that order, each split
+    into two planted blocks, hub-spoke schema.
 
-    The middle type acts as a small hub layer (venue-like); edges run
-    A-B and B-C only, never A-C or within a type. Within each type the
-    first n // 2 nodes (in insertion order) are block 0 and the rest are
-    block 1. Pairs inside the same block link with probability p_in, pairs
-    straddling blocks with p_out, so an edge carries no information beyond
-    the block membership of its endpoints.
-    Keeping the hub type small keeps per-leaf degree low, so the
+    B acts as a small hub layer (venue-like); edges run A-B and B-C only,
+    never A-C or within a type. Within each type the first n // 2 nodes (in
+    insertion order) are block 0 and the rest are block 1. Pairs inside the
+    same block link with probability 0.2, pairs straddling blocks with 0.01,
+    so an edge carries no information beyond the block membership of its
+    endpoints. Keeping the hub type small keeps per-leaf degree low, so the
     relations stay reconstructable from a low-dimensional embedding.
     """
+    p_in, p_out = 0.2, 0.01
     nodes = []
     block = []
-    for label, n in zip(labels, sizes):
+    for label, n in zip("ABC", sizes):
         for i in range(n):
             nodes.append((f"{label.lower()}{i}", label))
             block.append(0 if i < n // 2 else 1)
-    offsets = np.cumsum([0, *[n for n in sizes]])
+    offsets = np.cumsum([0, *sizes])
     edges = []
-    hub = 1  # index of the hub type in `labels`/`sizes`
+    hub = 1  # B's index in `sizes`
     for leaf in (0, 2):
         for i in range(offsets[leaf], offsets[leaf + 1]):
             for j in range(offsets[hub], offsets[hub + 1]):
@@ -43,21 +38,13 @@ def two_block_graph(
     return TypedGraph(nodes, edges)
 
 
-def powerlaw_bipartite_graph(
-    rng,
-    n_hubs: int = 300,
-    n_items: int = 400,
-    hub_label: str = "author",
-    item_label: str = "paper",
-    exponent: float = 2.0,
-    max_degree: int | None = None,
-) -> TypedGraph:
-    """Bipartite graph whose hub-type degrees follow a truncated power law."""
-    if max_degree is None:
-        max_degree = n_items // 2
-    nodes = [(f"h{i}", hub_label) for i in range(n_hubs)]
-    nodes += [(f"i{j}", item_label) for j in range(n_items)]
-    degrees = np.minimum(rng.zipf(exponent, size=n_hubs), max_degree)
+def powerlaw_bipartite_graph(rng) -> TypedGraph:
+    """300 "author" and 400 "paper" nodes; author degrees follow a Zipf law of
+    exponent 2 truncated at 200, and every paper gets at least one author."""
+    n_hubs, n_items = 300, 400
+    nodes = [(f"h{i}", "author") for i in range(n_hubs)]
+    nodes += [(f"i{j}", "paper") for j in range(n_items)]
+    degrees = np.minimum(rng.zipf(2.0, size=n_hubs), n_items // 2)
     edges = set()
     for i, d in enumerate(degrees):
         targets = rng.choice(n_items, size=int(d), replace=False)
@@ -72,8 +59,11 @@ def powerlaw_bipartite_graph(
     return TypedGraph(nodes, sorted(edges))
 
 
-def dblp_shaped_graph(rng, n_authors=14475, n_papers=14376, n_venues=20) -> TypedGraph:
-    """A graph with DBLP-like node/type counts (structure is random)."""
+def dblp_shaped_graph(rng) -> TypedGraph:
+    """DBLP's node and type counts, 14,475 A, 14,376 P and 20 V nodes, with a
+    random structure: each paper gets 1-3 distinct authors and one venue,
+    drawn uniformly."""
+    n_authors, n_papers, n_venues = 14475, 14376, 20
     nodes = [(f"a{i}", "A") for i in range(n_authors)]
     nodes += [(f"p{i}", "P") for i in range(n_papers)]
     nodes += [(f"v{i}", "V") for i in range(n_venues)]

@@ -77,24 +77,19 @@ class EmbeddingTable:
                 coords = "\t".join(repr(float(c)) for c in self.coords[v])
                 f.write(f"{g.node_ids[v]}\t{label}\t{coords}\n")
 
-    @staticmethod
-    def load_tsv(path) -> tuple["EmbeddingTable", list[str]]:
-        """The table in a :meth:`save_tsv` file and the node ids of its rows."""
-        ids, rows = [], []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                fields = line.rstrip("\n").split("\t")
-                ids.append(fields[0])
-                rows.append([float(x) for x in fields[2:]])
-        return EmbeddingTable(np.asarray(rows)), ids
-
 
 def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
-    """Load a saved table and reorder rows to match g's node indexing.
+    """Load a :meth:`EmbeddingTable.save_tsv` file, its rows reordered to g's node indexing.
 
     The file must name each node of g exactly once; otherwise ValueError.
     """
-    table, ids = EmbeddingTable.load_tsv(path)
+    ids, rows = [], []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            fields = line.rstrip("\n").split("\t")
+            ids.append(fields[0])
+            rows.append([float(x) for x in fields[2:]])
+    table = EmbeddingTable(np.asarray(rows))
     distinct = set(ids)
     if len(ids) != g.n_nodes or distinct != set(g.node_ids):
         raise ValueError(

@@ -13,10 +13,9 @@ N_t, and the graph's ``type_offsets`` table locates the neighbors of each
 (node, type). All draws come from one ``substream(seed, WALKS)``. The
 result is a :class:`Walks`, one ``(W, L)`` int32 matrix padded with -1 that
 reads like a list of walks. :func:`transition_distribution` is the exact
-law, computed per node through :func:`type_weights`. On the 28,871-node
-DBLP-shaped graph the walker makes about 3-4M steps/s on one core of a
-2-core machine, against about 150k for a walker that steps one walk at a
-time in Python.
+law, computed one node at a time. On the 28,871-node DBLP-shaped graph
+the walker makes about 3-4M steps/s on one core of a 2-core machine,
+against about 150k for a walker that steps one walk at a time in Python.
 """
 
 from __future__ import annotations
@@ -82,23 +81,17 @@ class Walks:
         return [w.tolist() for w in self]
 
 
-def type_weights(types, type_counts) -> list[float]:
-    """The self-guided law's weight exp(-N_t) for each neighbor type in ``types``.
-
-    Counts are shifted by their minimum over ``types`` before
-    exponentiation; the shift cancels on normalization and keeps the
-    weights from underflowing on long walks.
-    """
-    shift = min(int(type_counts[t]) for t in types)
-    return [math.exp(-(int(type_counts[t]) - shift)) for t in types]
-
-
 def transition_distribution(g: TypedGraph, v: int, type_counts) -> dict[int, float]:
     """Exact next-step distribution over the neighbors of v."""
     groups = g.adjacency_groups(v)
     if not groups:
         raise DeadEnd(f"node {v} has no neighbors")
-    weights = type_weights([t for t, _ in groups], type_counts)
+    # weight exp(-N_t) per neighbor type t; counts are shifted by their minimum
+    # over the present types before exponentiation: the shift cancels on
+    # normalization and keeps the weights from underflowing on long walks
+    counts = [int(type_counts[t]) for t, _ in groups]
+    shift = min(counts)
+    weights = [math.exp(-(c - shift)) for c in counts]
     total = sum(weights)
     return {int(u): w / (total * arr.size) for (_, arr), w in zip(groups, weights) for u in arr}
 

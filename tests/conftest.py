@@ -33,6 +33,21 @@ def random_points(rng, n: int, d: int, scale: float = 1.0) -> np.ndarray:
     return np.stack([random_point(rng, d, scale) for _ in range(n)])
 
 
+def on_manifold(x, atol: float = 1e-9) -> bool:
+    """Every point of x satisfies <x,x>_M = -1 to within atol, with x_last > 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return bool(
+        np.all(np.abs(lorentz.minkowski_inner(x, x) + 1.0) < atol) and np.all(x[..., -1] > 0)
+    )
+
+
+def neighbors(g: TypedGraph, v: int) -> np.ndarray:
+    """Neighbors of v, grouped by type as in ``g.adjacency_groups``; a view."""
+    n_types = len(g.node_types)
+    lo, hi = g.type_offsets[[v * n_types, (v + 1) * n_types]]
+    return g.adjacency[lo:hi]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

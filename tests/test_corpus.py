@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperwalk.corpus import AliasTable, SampleCorpus, build_corpus
+from hyperwalk.graph import TypedGraph
 from hyperwalk.synthetic import two_block_graph
 from hyperwalk.walk import WalkConfig, Walks, generate_walks
 
@@ -87,6 +88,43 @@ def test_corpus_build_traces_at_most_12_bytes_a_pair():
     # node_freq counted over several chunks
     assert np.array_equal(c.node_freq, np.bincount(c.pairs.ravel(), minlength=g.n_nodes))
 
+
+
+def in_block_coverage(g, corpus):
+    """Fraction of the block-0 A-C pairs of a two-block layout that the corpus
+    holds as positives. A and C are never adjacent, so this measures how far
+    the window reaches beyond direct neighbourhoods."""
+    A, C = g.nodes_of_type("A"), g.nodes_of_type("C")
+    half_a, half_c = A[: A.size // 2], C[: C.size // 2]
+    pairs = corpus.pairs.astype(np.int64)  # int32 codes u * n + v wrap past 46,340 nodes
+    positives = np.unique(pairs[:, 0] * g.n_nodes + pairs[:, 1])
+    block = (half_a[:, None] * g.n_nodes + half_c[None, :]).ravel()
+    return float(np.isin(block, positives).mean()) if block.size else 0.0
+
+
+def test_in_block_coverage_codes_pairs_without_wrapping():
+    # 50,008 nodes with the A nodes last: an A index times n_nodes is past
+    # 2**31, where an int32 code u * n + v would wrap
+    labels = ["C"] * 4 + ["B"] * 50_000 + ["A"] * 4
+    g = TypedGraph([(f"n{i}", t) for i, t in enumerate(labels)], [])
+    a, c = g.nodes_of_type("A")[0], g.nodes_of_type("C")[0]
+    assert a * g.n_nodes > np.iinfo(np.int32).max
+    corpus = SampleCorpus(np.array([[a, c]]), g.n_nodes)
+    # one of the 2 x 2 block-0 A-C pairs is a positive
+    assert in_block_coverage(g, corpus) == 0.25
+
+
+def test_in_block_coverage_grows_with_the_window_at_even_offsets():
+    # A-C pairs sit at even walk offsets only (A-B-C), so window 1 reaches
+    # none, window 3 adds nothing to window 2, and window 5 reaches further
+    g = two_block_graph(np.random.default_rng(0))
+    walks = generate_walks(g, WalkConfig(seed=0))
+    cov = {
+        w: in_block_coverage(g, build_corpus(walks, window=w, n_nodes=g.n_nodes))
+        for w in (1, 2, 3, 5)
+    }
+    assert cov[1] == 0.0
+    assert 0.0 < cov[2] == cov[3] < cov[5]
 
 def test_alias_table_matches_weights():
     weights = np.array([1.0, 2.0, 3.0, 4.0])

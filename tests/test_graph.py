@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperwalk.graph import GraphError, TypedGraph, load_graph
+from tests.conftest import neighbors
 
 
 def test_basic_counts(tiny_hetero):
@@ -30,18 +31,17 @@ def test_node_lookup(tiny_hetero):
 def test_neighbors_are_symmetric(tiny_hetero):
     g = tiny_hetero
     for u, v in g.edges:
-        assert v in g.neighbors(u)
-        assert u in g.neighbors(v)
-        assert g.has_edge(int(u), int(v)) and g.has_edge(int(v), int(u))
-    assert not g.has_edge(0, 1)
+        assert v in neighbors(g, u)
+        assert u in neighbors(g, v)
+        assert g.has_edges([u, v], [v, u]).all()
+    assert not g.has_edges(0, 1)
 
 
-def test_has_edges_matches_has_edge(tiny_hetero):
+def test_has_edges_matches_the_edge_set(tiny_hetero):
     g = tiny_hetero
     us, vs = np.divmod(np.arange(g.n_nodes**2), g.n_nodes)
     got = g.has_edges(us, vs)
     assert got.dtype == bool and got.shape == us.shape
-    assert got.tolist() == [g.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
     edges = {(int(u), int(v)) for u, v in g.edges}
     assert got.tolist() == [(u, v) in edges or (v, u) in edges for u, v in zip(us, vs)]
     assert TypedGraph([("a", "t"), ("b", "t")], []).has_edges([0], [1]).tolist() == [False]
@@ -95,7 +95,7 @@ def test_rejects_bad_edges():
 
 def test_isolated_node_has_no_neighbors():
     g = TypedGraph([("a", "t"), ("b", "t")], [])
-    assert g.neighbors(0).size == 0
+    assert neighbors(g, 0).size == 0
     assert g.adjacency_groups(0) == []
 
 

@@ -16,7 +16,7 @@ from hyperwalk.trainer import (
     train,
 )
 from hyperwalk.walk import WalkConfig, Walks, generate_walks
-from tests.conftest import random_point, random_points
+from tests.conftest import on_manifold, random_point, random_points
 
 
 def point_at(direction, length):
@@ -227,7 +227,7 @@ def test_init_embeddings_near_origin_on_manifold(tiny_hetero):
     emb = init_embeddings(tiny_hetero, 5, 1e-3, np.random.default_rng(0))
     assert emb.coords.shape == (6, 6)
     assert emb.dim == 5 and emb.n_nodes == 6
-    assert lorentz.is_on_manifold(emb.coords)
+    assert on_manifold(emb.coords)
     assert np.all(np.abs(emb.coords[:, :-1]) <= 1e-3)
     with pytest.raises(ValueError):
         init_embeddings(tiny_hetero, 1, 1e-3, np.random.default_rng(0))
@@ -280,7 +280,7 @@ def test_train_output_shape_and_history(trained):
     assert table.coords.shape == (3, 3)
     assert len(history) == cfg.epochs
     assert all({"epoch", "mean_loss", "wall_time_s"} <= set(h) for h in history)
-    assert lorentz.is_on_manifold(table.coords)
+    assert on_manifold(table.coords)
 
 
 def test_train_is_deterministic(trained):

@@ -19,6 +19,7 @@ from hyperwalk.walk import (
     step,
     transition_distribution,
 )
+from tests.conftest import neighbors
 
 
 def start_counts(g, v):
@@ -76,9 +77,10 @@ def test_transition_matches_per_neighbor_formula(seed):
         counts[int(rng.integers(3)) % len(g.node_types)] += 1
     dist = transition_distribution(g, 0, counts)
     weights = {}
-    for v in g.neighbors(0):
+    nbrs = neighbors(g, 0)
+    for v in nbrs:
         t = int(g.node_type_of[v])
-        per_type = g.neighbors(0)[g.node_type_of[g.neighbors(0)] == t].size
+        per_type = nbrs[g.node_type_of[nbrs] == t].size
         weights[int(v)] = math.exp(-int(counts[t])) / per_type
     z = sum(weights.values())
     for v, w in weights.items():
@@ -114,7 +116,7 @@ def test_step_empirical_frequencies():
 def test_step_on_a_dblp_paper_node_matches_the_exact_law():
     g = dblp_shaped_graph(np.random.default_rng(0))
     a, v = g.node_type("A").id, g.node_type("V").id
-    paper = next(int(p) for p in g.nodes_of_type("P") if g.neighbors(p).size == 4)
+    paper = next(int(p) for p in g.nodes_of_type("P") if neighbors(g, p).size == 4)
     # a walk that came to the paper from an author: N_A = N_P = 1
     counts = start_counts(g, paper)
     counts[a] = 1
@@ -156,7 +158,7 @@ def test_walk_stays_on_edges(triangle):
     for w in walks:
         assert len(w) == 40
         for u, v in zip(w, w[1:]):
-            assert v in triangle.neighbors(u)
+            assert v in neighbors(triangle, u)
 
 
 def test_walk_truncates_at_dead_end():
