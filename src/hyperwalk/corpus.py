@@ -4,10 +4,11 @@ A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
 :func:`build_corpus` takes the pairs straight from the padded walk matrix
 of a :class:`~hyperwalk.walk.Walks`, one window offset at a time, into one
-preallocated int32 pair array, 8 bytes a pair: about 9M pairs in 0.2 s
-from 1 x 40 walks on the DBLP-shaped graph. Node indices stay int32 from
-the walk matrix through to the trainer, which shuffles an int32 index
-array in place each epoch.
+preallocated pair array: about 9M pairs in 0.2 s from 1 x 40 walks on the
+DBLP-shaped graph. The pairs are node indices at the narrowest width the
+graph allows (:func:`index_dtype`): uint16, 4 bytes a pair, up to 65,536
+nodes, else int32, 8 bytes a pair. The trainer reads them in the order of
+an int32 index array it shuffles in place each epoch.
 
 Training negatives are frequency-based noise: each is an independent draw
 from ``SampleCorpus.noise_table``, with probability proportional to a
@@ -29,10 +30,16 @@ import numpy as np
 # relatively less often.
 NOISE_EXPONENT = 0.75
 
-# largest node index a corpus stores: pairs are int32
+# most nodes a corpus indexes: pairs are at most int32
 INDEX_MAX = np.iinfo(np.int32).max
 # pair entries node_freq counts at a time, bounding bincount's int64 copy at 8 MB
 FREQ_CHUNK = 1 << 20
+
+
+def index_dtype(n_nodes: int) -> type:
+    """The narrowest dtype that holds every node index of an n_nodes graph:
+    uint16 up to 65,536 nodes, else int32."""
+    return np.uint16 if n_nodes <= 1 << 16 else np.int32
 
 
 class AliasTable:
@@ -67,9 +74,10 @@ class AliasTable:
 class SampleCorpus:
     """Multiset of positive pairs plus the frequency table for negatives.
 
-    The pairs are stored as an int32 ``(P, 2)`` array, 8 bytes a pair; an
-    int32 input is kept without a copy. Every entry must be a node index
-    in ``[0, n_nodes)`` and ``n_nodes`` must fit in int32, else ValueError.
+    The pairs are stored as a ``(P, 2)`` array of ``index_dtype(n_nodes)``,
+    4 bytes a pair up to 65,536 nodes and 8 above; an input of that dtype
+    is kept without a copy. Every entry must be a node index in
+    ``[0, n_nodes)`` and ``n_nodes`` must fit in int32, else ValueError.
     """
 
     def __init__(self, pairs: np.ndarray, n_nodes: int):
@@ -77,14 +85,14 @@ class SampleCorpus:
         self.n_nodes = int(n_nodes)
         if not 0 <= self.n_nodes <= INDEX_MAX:
             raise ValueError(f"n_nodes must be in [0, {INDEX_MAX}], got {self.n_nodes}")
-        # checked before the narrowing cast, so an index >= 2**31 cannot wrap
+        # checked before the narrowing cast, so an index past the dtype cannot wrap
         if pairs.size:
             lo, hi = int(pairs.min()), int(pairs.max())
             if lo < 0 or hi >= self.n_nodes:
                 bad = lo if lo < 0 else hi
                 raise ValueError(f"pair entry {bad} is not a node index in [0, {self.n_nodes})")
-        self.pairs = pairs.astype(np.int32, copy=False)
-        # bincount copies int32 input to int64, so count a chunk at a time
+        self.pairs = pairs.astype(index_dtype(self.n_nodes), copy=False)
+        # bincount copies its input to int64, so count a chunk at a time
         flat = self.pairs.ravel()
         self.node_freq = np.zeros(self.n_nodes, dtype=np.int64)
         for at in range(0, flat.size, FREQ_CHUNK):
@@ -108,15 +116,20 @@ def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
     j - i, direction: forward (v_i, v_j) then reverse (v_j, v_i), walk,
     position i). Each offset's mask over the walk matrix is made twice,
     once to count the pairs and once to write them into one preallocated
-    int32 ``(P, 2)`` array, so one mask and one gathered column are held at
-    a time.
+    ``(P, 2)`` array of ``index_dtype(n_nodes)``, so one mask and one
+    gathered column are held at a time. A walk node outside
+    ``[0, n_nodes)`` is a ValueError.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     m = walks.matrix
+    # checked on the int32 matrix, before the narrow pair array could wrap it
+    top = int(m.max(initial=-1))
+    if top >= n_nodes:
+        raise ValueError(f"walk node {top} is not a node index in [0, {n_nodes})")
     offsets = range(1, min(window, m.shape[1] - 1) + 1)  # offsets that fit in a row
     counts = [np.count_nonzero(_keep(m, o)) for o in offsets]
-    pairs = np.empty((2 * sum(counts), 2), dtype=np.int32)
+    pairs = np.empty((2 * sum(counts), 2), dtype=index_dtype(n_nodes))
     at = 0
     for o, n in zip(offsets, counts):
         keep = _keep(m, o)

@@ -5,8 +5,9 @@ AUC is the Mann-Whitney statistic with half credit for ties.
 
 Every step whose size grows with the number of scored pairs (up to
 ``max_neg`` non-edges) works through the pairs in blocks of ``BLOCK``, so
-memory is the pair and score arrays plus O(BLOCK) temporaries. AUC sorts
-the negative scores once and counts.
+memory is the pair and score arrays plus O(BLOCK) temporaries. Sampled and
+enumerated non-edges are node indices at the corpus's width,
+``corpus.index_dtype``. AUC sorts the negative scores once and counts.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import lorentz
+from .corpus import index_dtype
 from .graph import EdgeType, GraphError, TypedGraph
 from .trainer import EmbeddingTable
 
@@ -58,10 +58,11 @@ class LinkSplit:
 def _score_pairs(emb: EmbeddingTable, pairs: np.ndarray) -> np.ndarray:
     """Negated hyperbolic distance of each (u, v) row: higher = more likely linked.
 
-    Each block of pairs is gathered and scored on its own; a pair's score
-    depends on that pair alone, so the blocks do not change its bits.
+    Each block of pairs is gathered and scored on its own, indexing with
+    the pairs' own dtype; a pair's score depends on that pair alone, so the
+    blocks do not change its bits.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(pairs).reshape(-1, 2)
     out = np.empty(len(pairs))
     for s in range(0, len(pairs), BLOCK):
         p = pairs[s : s + BLOCK]
@@ -112,9 +113,10 @@ def _sample_non_edges(g: TypedGraph, et: EdgeType, k: int, rng) -> np.ndarray:
 
     Each attempt draws its candidates' indices into A and B whole, then
     gathers and tests them a block at a time and stops once k are kept.
+    The pairs come as ``index_dtype(g.n_nodes)``; k = 0 draws nothing.
     """
     A, B = _compatible_sides(g, et)
-    out = np.empty((k, 2), dtype=np.int64)
+    out = np.empty((k, 2), dtype=index_dtype(g.n_nodes))
     filled = 0
     attempts = 0
     while filled < k:
@@ -139,11 +141,11 @@ def _all_non_edges(g: TypedGraph, et: EdgeType) -> np.ndarray:
     """Every type-compatible non-edge, in row-major (A, B) order.
 
     Pairs are built and tested for about ``BLOCK`` at a time, a block of A
-    rows against all of B.
+    rows against all of B, and come as ``index_dtype(g.n_nodes)``.
     """
     A, B = _compatible_sides(g, et)
     ta, tb = et.endpoint_types
-    out = np.empty((_n_compatible_pairs(et, A, B), 2), dtype=np.int64)
+    out = np.empty((_n_compatible_pairs(et, A, B), 2), dtype=index_dtype(g.n_nodes))
     filled = 0
     rows = max(BLOCK // max(B.size, 1), 1)
     for s in range(0, A.size, rows):
@@ -207,16 +209,13 @@ def _removable(g: TypedGraph, et: EdgeType, edges_t: np.ndarray, order: np.ndarr
     that leaves the edge's endpoints connected, is the reverse-delete
     algorithm: edge ``order[j]`` goes exactly when its endpoints are already
     joined by the edges of other types plus the type-t edges after j. One
-    backward pass of union-find over the components of the other-type edges
-    decides every edge in near-linear time.
+    union-find over the nodes decides every edge in near-linear time: it
+    first joins the endpoints of every other-type edge, then takes the
+    type-t edges backward from the last in ``order``, each one removable
+    when its endpoints are already joined.
     """
     other = g.edges[g.edge_type_of != et.id]
-    adj = coo_matrix(
-        (np.ones(len(other), dtype=np.int8), (other[:, 0], other[:, 1])),
-        shape=(g.n_nodes, g.n_nodes),
-    )
-    n_comp, label = connected_components(adj, directed=False)
-    parent = list(range(n_comp))
+    parent = list(range(g.n_nodes))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -224,16 +223,13 @@ def _removable(g: TypedGraph, et: EdgeType, edges_t: np.ndarray, order: np.ndarr
             x = parent[x]
         return x
 
-    lu = label[edges_t[order, 0]].tolist()
-    lv = label[edges_t[order, 1]].tolist()
-    removable = np.zeros(len(order), dtype=bool)
-    for j in range(len(order) - 1, -1, -1):
-        a, b = find(lu[j]), find(lv[j])
-        if a == b:
-            removable[j] = True
-        else:
+    joined = []
+    for u, v in np.concatenate([other, edges_t[order[::-1]]]).tolist():
+        a, b = find(u), find(v)
+        joined.append(a == b)
+        if a != b:
             parent[a] = b
-    return removable
+    return np.array(joined[len(other) :][::-1], dtype=bool)
 
 
 def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSplit:
@@ -272,11 +268,7 @@ def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSp
         for (u, v), te in zip(g.edges[keep].tolist(), g.edge_type_of[keep].tolist())
     ]
     train_graph = TypedGraph(nodes, kept)
-    non_edges = (
-        _sample_non_edges(g, et, len(removed), rng)
-        if len(removed)
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    non_edges = _sample_non_edges(g, et, len(removed), rng)
     return LinkSplit(
         train_graph=train_graph,
         removed_edges=removed,

@@ -172,10 +172,12 @@ def train(
 ) -> tuple[EmbeddingTable, list[dict]]:
     """SGD over a seed-shuffled pair multiset; returns (table, epoch log).
 
-    Each epoch reads the int32 pairs in the order of one index array,
-    int32 (int64 past 2**31 - 1 pairs), shuffled in place: the order
+    Each epoch reads the corpus pairs (uint16 or int32 node indices, see
+    ``corpus.index_dtype``) in the order of one index array, int32 (int64
+    past 2**31 - 1 pairs), shuffled in place: the order
     ``Generator.permutation`` gives, at 4 bytes a pair and without its
-    int64 copy.
+    int64 copy. A batch's pair columns join the int64 noise draws in one
+    ``concatenate``, which widens them to int64.
     The epoch loop keeps the table feature-major, as one C-contiguous
     (dim + 1, n_nodes) array, and writes it back to the row-major
     ``table.coords`` once at the end. Each batch gathers (dim + 1, rows)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperwalk.corpus import AliasTable, SampleCorpus, build_corpus
+from hyperwalk.corpus import AliasTable, SampleCorpus, build_corpus, index_dtype
 from hyperwalk.graph import TypedGraph
 from hyperwalk.synthetic import two_block_graph
 from hyperwalk.walk import WalkConfig, Walks, generate_walks
@@ -72,9 +72,28 @@ def test_sample_corpus_rejects_more_nodes_than_int32_indexes():
         SampleCorpus(np.array([[0, 1]]), n_nodes=2**31)
 
 
-def test_corpus_build_traces_at_most_12_bytes_a_pair():
-    # int32 pairs are 8 bytes a pair; the rest is one offset's gathered
-    # column and node_freq's counting chunk. int64 pairs would be 16.
+@pytest.mark.parametrize("n_nodes, dtype", [(65_536, np.uint16), (65_537, np.int32)])
+def test_corpus_pairs_take_the_narrowest_width_the_nodes_allow(n_nodes, dtype):
+    top = n_nodes - 1  # 65,535 is uint16's largest value; 65,536 needs int32
+    want = [[0, top], [top, 0]]
+    assert index_dtype(n_nodes) is dtype
+    built = build_corpus(Walks.from_lists([[0, top]]), window=1, n_nodes=n_nodes)
+    for c in (SampleCorpus(np.array(want), n_nodes), built):
+        assert c.pairs.dtype == dtype
+        assert c.pairs.tolist() == want
+        assert c.node_freq[top] == 2
+
+
+def test_build_corpus_rejects_a_walk_node_past_n_nodes():
+    # 65,536 would wrap to node 0 in a uint16 pair array
+    with pytest.raises(ValueError, match="walk node 65536 is not a node index"):
+        build_corpus(Walks.from_lists([[0, 65_536]]), window=1, n_nodes=65_536)
+
+
+def test_corpus_build_traces_at_most_7_bytes_a_pair():
+    # uint16 pairs are 4 bytes a pair; the rest is one offset's gathered
+    # int32 column, its masks and node_freq's int64 counting chunk. int32
+    # pairs would be 8.
     g = two_block_graph(np.random.default_rng(0))
     walks = generate_walks(g, WalkConfig(walks_per_node=10, walk_length=80, seed=0))
     tracemalloc.start()
@@ -84,7 +103,8 @@ def test_corpus_build_traces_at_most_12_bytes_a_pair():
     finally:
         tracemalloc.stop()
     assert len(c) > 4_000_000
-    assert peak / len(c) <= 12
+    assert c.pairs.dtype == np.uint16
+    assert peak / len(c) <= 7
     # node_freq counted over several chunks
     assert np.array_equal(c.node_freq, np.bincount(c.pairs.ravel(), minlength=g.n_nodes))
 
@@ -197,6 +217,6 @@ walk_sets = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), max_s
 def test_build_corpus_matches_the_per_walk_reference(walks, window):
     c = build_corpus(Walks.from_lists(walks), window=window, n_nodes=5)
     want = reference_build_corpus(walks, window)
-    assert c.pairs.dtype == np.int32
+    assert c.pairs.dtype == index_dtype(5) == np.uint16
     assert np.array_equal(c.pairs, want)
     assert np.array_equal(c.node_freq, np.bincount(want.ravel(), minlength=5))

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import rankdata
 
 from hyperwalk import evaluation, lorentz
+from hyperwalk.corpus import index_dtype
 from hyperwalk.evaluation import (
     _all_non_edges,
     _sample_non_edges,
@@ -308,7 +311,7 @@ def test_sample_non_edges_in_blocks_equals_whole_array_sampling(monkeypatch, sam
     got = _sample_non_edges(g, et, 150, got_rng)
     want, attempts = sample_non_edges_whole(g, et, 150, want_rng)
     assert attempts >= 3
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == index_dtype(g.n_nodes) and np.array_equal(got, want)
     # the same draws were made: both generators are at the same state
     assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
@@ -331,7 +334,7 @@ def test_all_non_edges_in_blocks_equals_one_meshgrid(monkeypatch, block, same_ty
     monkeypatch.setattr(evaluation, "BLOCK", block)
     g, et = dense_graph(np.random.default_rng(3), same_type, keep=0.5)
     got, want = _all_non_edges(g, et), all_non_edges_whole(g, et)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == index_dtype(g.n_nodes) and np.array_equal(got, want)
 
 
 def test_all_non_edges_of_a_complete_relation_is_empty(monkeypatch):
@@ -506,6 +509,7 @@ def assert_split_matches_reference(g, t, fraction, seed):
         g, t, fraction, np.random.default_rng(seed)
     )
     assert split.removed_edges.dtype == np.int64
+    assert split.sampled_non_edges.dtype == index_dtype(g.n_nodes)
     np.testing.assert_array_equal(split.removed_edges, removed)
     np.testing.assert_array_equal(split.sampled_non_edges, non_edges)
     assert split.train_graph.edges.tolist() == [list(e) for e in kept]
@@ -571,6 +575,59 @@ def test_split_matches_reference_on_planted_graph():
     g = two_block_graph(np.random.default_rng(0))
     split = assert_split_matches_reference(g, "A-B", 0.2, 0)
     assert len(split.removed_edges) == int(0.2 * len(g.edges_of_type("A-B")))
+
+
+def component_removable(g, et, edges_t, order):
+    """``_removable`` as first written: scipy labels the components of the
+    other-type edges, then the backward union-find runs over those labels."""
+    other = g.edges[g.edge_type_of != et.id]
+    adj = coo_matrix(
+        (np.ones(len(other), dtype=np.int8), (other[:, 0], other[:, 1])),
+        shape=(g.n_nodes, g.n_nodes),
+    )
+    n_comp, label = connected_components(adj, directed=False)
+    parent = list(range(n_comp))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    lu = label[edges_t[order, 0]].tolist()
+    lv = label[edges_t[order, 1]].tolist()
+    removable = np.zeros(len(order), dtype=bool)
+    for j in range(len(order) - 1, -1, -1):
+        a, b = find(lu[j]), find(lv[j])
+        if a == b:
+            removable[j] = True
+        else:
+            parent[a] = b
+    return removable
+
+
+@pytest.fixture(scope="module")
+def split_graphs():
+    return {
+        "dblp": dblp_shaped_graph(np.random.default_rng(11)),
+        "two_block": two_block_graph(np.random.default_rng(0)),
+    }
+
+
+@pytest.mark.parametrize("graph, t", [("dblp", "A-P"), ("dblp", "P-V"), ("two_block", "A-B")])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_is_byte_identical_to_the_component_reference(monkeypatch, split_graphs, graph, t, seed):
+    g = split_graphs[graph]
+    got = make_link_split(g, t, 0.2, rng=np.random.default_rng(seed))
+    monkeypatch.setattr(evaluation, "_removable", component_removable)
+    want = make_link_split(g, t, 0.2, rng=np.random.default_rng(seed))
+    assert len(got.removed_edges) > 0 and got.warning == want.warning
+    for a, b in (
+        (got.removed_edges, want.removed_edges),
+        (got.sampled_non_edges, want.sampled_non_edges),
+        (got.train_graph.edges, want.train_graph.edges),
+    ):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_link_prediction_perfect_memorizer(rng):
