@@ -7,8 +7,8 @@ of a :class:`~hyperwalk.walk.Walks`, one window offset at a time, into one
 preallocated pair array: about 9M pairs in 0.2 s from 1 x 40 walks on the
 DBLP-shaped graph. The pairs are node indices at the narrowest width the
 graph allows (:func:`index_dtype`): uint16, 4 bytes a pair, up to 65,536
-nodes, else int32, 8 bytes a pair. The trainer reads them in the order of
-an int32 index array it shuffles in place each epoch.
+nodes, else int32, 8 bytes a pair. The trainer draws pair indices from
+them uniformly, with replacement, a batch at a time.
 
 Training negatives are frequency-based noise: each is an independent draw
 from ``SampleCorpus.noise_table``, with probability proportional to a
@@ -32,8 +32,9 @@ NOISE_EXPONENT = 0.75
 
 # most nodes a corpus indexes: pairs are at most int32
 INDEX_MAX = np.iinfo(np.int32).max
-# pair entries node_freq counts at a time, bounding bincount's int64 copy at 8 MB
-FREQ_CHUNK = 1 << 20
+# least pair entries node_freq counts at a time: bincount's int64 copy of a
+# chunk takes 512 KB, or as much as the n_nodes-long counts each call returns
+FREQ_CHUNK = 1 << 16
 
 
 def index_dtype(n_nodes: int) -> type:
@@ -92,11 +93,13 @@ class SampleCorpus:
                 bad = lo if lo < 0 else hi
                 raise ValueError(f"pair entry {bad} is not a node index in [0, {self.n_nodes})")
         self.pairs = pairs.astype(index_dtype(self.n_nodes), copy=False)
-        # bincount copies its input to int64, so count a chunk at a time
+        # bincount copies its input to int64, so count a chunk at a time; a
+        # chunk at least n_nodes long keeps the per-call counts from dominating
         flat = self.pairs.ravel()
         self.node_freq = np.zeros(self.n_nodes, dtype=np.int64)
-        for at in range(0, flat.size, FREQ_CHUNK):
-            self.node_freq += np.bincount(flat[at : at + FREQ_CHUNK], minlength=self.n_nodes)
+        chunk = max(FREQ_CHUNK, self.n_nodes)
+        for at in range(0, flat.size, chunk):
+            self.node_freq += np.bincount(flat[at : at + chunk], minlength=self.n_nodes)
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -1,7 +1,7 @@
 """Named RNG substreams derived from a single master seed.
 
 Every source of randomness in a run (walks, negative sampling, edge splits,
-embedding init, shuffling) pulls from its own substream so that components
+embedding init, pair draws) pulls from its own substream so that components
 can be re-run independently and results stay reproducible.
 """
 

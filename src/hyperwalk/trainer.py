@@ -170,34 +170,37 @@ def pair_gradients(e_u, e_v, negs=()):
 def train(
     g: TypedGraph, corpus: SampleCorpus, cfg: TrainConfig, dim: int
 ) -> tuple[EmbeddingTable, list[dict]]:
-    """SGD over a seed-shuffled pair multiset; returns (table, epoch log).
+    """SGD over i.i.d. draws from the pair multiset; returns (table, epoch log).
 
-    Each epoch reads the corpus pairs (uint16 or int32 node indices, see
-    ``corpus.index_dtype``) in the order of one index array, int32 (int64
-    past 2**31 - 1 pairs), shuffled in place: the order
-    ``Generator.permutation`` gives, at 4 bytes a pair and without its
-    int64 copy. A batch's pair columns join the int64 noise draws in one
-    ``concatenate``, which widens them to int64.
+    An epoch is ``ceil(P / batch_size)`` batches over the corpus's P pairs
+    (uint16 or int32 node indices, see ``corpus.index_dtype``). Each batch
+    draws its pair indices uniformly, with replacement, from
+    ``substream(cfg.seed, SHUFFLE)``, the last batch only the remainder, so
+    an epoch draws exactly P pairs: a one-epoch run leaves about 1/e of them
+    unvisited and visits others more than once, and nothing ``train``
+    allocates grows with P. A batch's pair columns join
+    the int64 noise draws in one ``concatenate``, which widens them to int64.
     The epoch loop keeps the table feature-major, as one C-contiguous
     (dim + 1, n_nodes) array, and writes it back to the row-major
     ``table.coords`` once at the end. Each batch gathers (dim + 1, rows)
     blocks from it, so every per-row Minkowski sum and broadcast runs along
     the rows in contiguous memory, not across dim + 1 coordinates per row.
-    Per batch, in this order: one draw of fresh noise negatives, one
-    ``_pair_terms`` call for the losses and gradients of all its pairs, one
-    ``bincount`` per coordinate that sums the gradients per touched node,
-    then one call each of ``lorentz.project_to_tangent``, ``exp_map`` and
-    ``normalize`` on (touched, dim + 1) transposed views of the blocks: one
+    Per batch, in this order: one draw of pair indices, one draw of fresh
+    noise negatives, one ``_pair_terms`` call for the losses and gradients
+    of all its pairs, one ``bincount`` per coordinate that sums the
+    gradients per touched node, then one call each of
+    ``lorentz.project_to_tangent``, ``exp_map`` and ``normalize`` on
+    (touched, dim + 1) transposed views of the blocks: one
     exponential-map step per touched node, then re-normalization. The
     per-batch cost scales with the rows the batch touches, not with
     ``g.n_nodes``; only one scan of an n_nodes-long boolean mark is not.
     Negatives are plain word2vec-style noise drawn from
     ``corpus.noise_table``, i.e. in proportion to frequency**0.75: nothing
     is rejected, so a negative may be one of the anchor's positives or the
-    anchor itself. Each epoch record holds ``epoch``, ``mean_loss``,
-    ``wall_time_s``, ``max_manifold_drift`` and ``noise_collision_share``
-    (the share of the epoch's noise draws that equal the anchor or its
-    positive partner).
+    anchor itself. Each epoch record holds ``epoch``, ``mean_loss`` (the
+    loss summed over the epoch's P draws, divided by P), ``wall_time_s``,
+    ``max_manifold_drift`` and ``noise_collision_share`` (the share of the
+    epoch's noise draws that equal the anchor or its positive partner).
     Fully deterministic for a fixed cfg.seed.
     """
     if len(corpus) == 0:
@@ -205,7 +208,7 @@ def train(
     table = init_embeddings(g, dim, INIT_SCALE, seeding.substream(cfg.seed, seeding.INIT))
     coords = np.ascontiguousarray(table.coords.T)  # feature-major (dim + 1, n_nodes)
     neg_rng = seeding.substream(cfg.seed, seeding.NEGATIVES)
-    shuffle_rng = seeding.substream(cfg.seed, seeding.SHUFFLE)
+    pair_rng = seeding.substream(cfg.seed, seeding.SHUFFLE)
     k = cfg.negatives_per_positive
     noise = corpus.noise_table
     pairs = corpus.pairs
@@ -213,19 +216,14 @@ def train(
     # cleared after), slot maps a touched node to its column in the batch's sums
     seen = np.zeros(g.n_nodes, dtype=bool)
     slot = np.empty(g.n_nodes, dtype=np.int64)
-    fits_int32 = len(pairs) <= np.iinfo(np.int32).max
-    order = np.arange(len(pairs), dtype=np.int32 if fits_int32 else np.int64)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        if epoch:
-            order.sort()  # back to the arange, in place
-        shuffle_rng.shuffle(order)
         loss_sum = 0.0
         max_drift = 0.0
         collisions = 0
-        for b0 in range(0, len(order), cfg.batch_size):
-            idx = order[b0 : b0 + cfg.batch_size]
+        for b0 in range(0, len(pairs), cfg.batch_size):
+            idx = pair_rng.integers(len(pairs), size=min(cfg.batch_size, len(pairs) - b0))
             u_idx = pairs[idx, 0]
             v_idx = pairs[idx, 1]
             negs = noise.sample(neg_rng, size=(idx.size, k))

@@ -1,12 +1,16 @@
 """Riemannian SGD trainer: loss oracle, gradients, descent, determinism."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hyperwalk import lorentz, seeding, trainer
-from hyperwalk.corpus import build_corpus
+from hyperwalk.corpus import AliasTable, build_corpus
 from hyperwalk.graph import TypedGraph
 from hyperwalk.seeding import substream
+from hyperwalk.synthetic import two_block_graph
 from hyperwalk.trainer import (
     TrainConfig,
     init_embeddings,
@@ -321,19 +325,6 @@ def test_training_pulls_linked_nodes_together():
     assert within < across
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("n", [1, 10, 1_000, 751_660])
-def test_in_place_shuffle_gives_the_permutation_order(n, dtype):
-    # train shuffles one arange in place and sorts it back between epochs;
-    # byte-identical training rests on this giving permutation's order
-    rng, ref = substream(3, seeding.SHUFFLE), substream(3, seeding.SHUFFLE)
-    order = np.arange(n, dtype=dtype)
-    for _ in range(2):
-        order.sort()
-        rng.shuffle(order)
-        assert np.array_equal(order, ref.permutation(n))
-
-
 def test_noise_collision_share_counts_draws_equal_to_anchor_or_partner():
     # one edge, two nodes: every noise draw is the anchor or its partner
     g = TypedGraph([("a", "A"), ("b", "B")], [(0, 1)])
@@ -341,6 +332,56 @@ def test_noise_collision_share_counts_draws_equal_to_anchor_or_partner():
     cfg = TrainConfig(batch_size=2, epochs=2, negatives_per_positive=3, seed=0)
     _, history = train(g, corpus, cfg, dim=2)
     assert [h["noise_collision_share"] for h in history] == [1.0, 1.0]
+
+
+def test_an_epoch_draws_as_many_pairs_as_the_corpus_holds(trained, monkeypatch):
+    g, corpus, _ = trained
+    cfg = TrainConfig(lr=0.1, batch_size=10, epochs=1, negatives_per_positive=2)
+    assert len(corpus) % cfg.batch_size != 0  # a partial last batch
+    batch_sizes = []
+    pair_terms = trainer._pair_terms
+
+    def counted(U, W):
+        batch_sizes.append(U.shape[1])
+        return pair_terms(U, W)
+
+    monkeypatch.setattr(trainer, "_pair_terms", counted)
+    train(g, corpus, cfg, dim=2)
+    assert len(batch_sizes) == math.ceil(len(corpus) / cfg.batch_size)
+    assert sum(batch_sizes) == len(corpus)
+    assert batch_sizes[-1] == len(corpus) % cfg.batch_size
+    assert set(batch_sizes[:-1]) == {cfg.batch_size}
+
+
+class StopTraining(Exception):
+    pass
+
+
+def test_train_allocates_nothing_as_long_as_the_corpus(monkeypatch):
+    # criterion 6's 4.06M-pair corpus, stopped at its fifth noise draw: an
+    # int32 index over the pairs alone would trace 15.5 MiB
+    g = two_block_graph(np.random.default_rng(0))
+    walks = generate_walks(g, WalkConfig(walks_per_node=10, walk_length=80, seed=0))
+    corpus = build_corpus(walks, window=5, n_nodes=g.n_nodes)
+    assert len(corpus) > 4_000_000
+    sample = AliasTable.sample
+    calls = []
+
+    def stop_after_four(self, rng, size):
+        calls.append(size)
+        if len(calls) > 4:
+            raise StopTraining
+        return sample(self, rng, size)
+
+    monkeypatch.setattr(AliasTable, "sample", stop_after_four)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StopTraining):
+            train(g, corpus, TrainConfig(seed=0), dim=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # --- the dense scatter the trainer used before it summed touched rows only ---
@@ -354,17 +395,16 @@ def dense_scatter_train(g, corpus, cfg, dim):
     init = init_embeddings(g, dim, trainer.INIT_SCALE, substream(cfg.seed, seeding.INIT))
     coords = np.ascontiguousarray(init.coords.T)
     neg_rng = substream(cfg.seed, seeding.NEGATIVES)
-    shuffle_rng = substream(cfg.seed, seeding.SHUFFLE)
+    pair_rng = substream(cfg.seed, seeding.SHUFFLE)
     k = cfg.negatives_per_positive
     pairs = corpus.pairs
     history = []
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(pairs))
         loss_sum = 0.0
         max_drift = 0.0
         collisions = 0
-        for b0 in range(0, len(order), cfg.batch_size):
-            idx = order[b0 : b0 + cfg.batch_size]
+        for b0 in range(0, len(pairs), cfg.batch_size):
+            idx = pair_rng.integers(len(pairs), size=min(cfg.batch_size, len(pairs) - b0))
             u_idx = pairs[idx, 0]
             v_idx = pairs[idx, 1]
             negs = corpus.noise_table.sample(neg_rng, size=(idx.size, k))
