@@ -1,4 +1,4 @@
-"""Command-line front-end: train / reconstruct / linkpred / sweep / project.
+"""Command-line front-end: train / reconstruct / linkpred / project.
 
 A run depends only on its flags and input files. All randomness flows from
 one --seed through named substreams, so runs with identical flags are
@@ -7,8 +7,9 @@ configuration.
 
 A runtime failure prints ``error: <ExceptionType>: <message>`` to stderr.
 
-``linkpred`` and ``sweep`` make their split from --edge-type, --fraction and
---seed on every run; ``linkpred`` writes it to ``<out>/split/`` as output.
+``linkpred`` makes its split from --edge-type, --fraction and --seed on
+every run and writes it to ``<out>/split/`` as output. A sweep over one
+flag is a shell loop over ``linkpred``.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -52,6 +53,7 @@ def _add_pipeline(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=0.3)
     p.add_argument("--batch", type=int, default=512)
     p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--dim", default="10", help="dimension or comma list, e.g. 2,5,10")
 
 
 def _int_list(text: str) -> list[int]:
@@ -59,22 +61,16 @@ def _int_list(text: str) -> list[int]:
 
 
 def _dims(args) -> list[int]:
-    """--dims if the command has it and it is given, else [--dim]; each >= 2."""
-    dims = [args.dim] if getattr(args, "dims", None) is None else _int_list(args.dims)
+    """--dim: one dimension or a comma list, each >= 2 and none repeated."""
+    dims = _int_list(args.dim)
     if not dims:
-        raise ValueError(f"--dims {args.dims!r} lists no dimension")
+        raise ValueError(f"--dim {args.dim!r} lists no dimension")
     if min(dims) < 2:
         raise ValueError(f"embedding dimension must be >= 2, got {min(dims)}")
+    repeated = [d for i, d in enumerate(dims) if d in dims[:i]]
+    if repeated:
+        raise ValueError(f"--dim lists dimension {repeated[0]} more than once")
     return dims
-
-
-def _split(args, g):
-    """The held-out split of --edge-type that --fraction and --seed fix."""
-    rng = seeding.substream(args.seed, seeding.SPLITS)
-    split = make_link_split(g, args.edge_type, fraction=args.fraction, rng=rng)
-    if split.warning:
-        print(f"warning: {split.warning}", file=sys.stderr)
-    return split
 
 
 def _write_manifest(args, command: str) -> None:
@@ -96,14 +92,18 @@ def _pipeline_configs(args):
     if args.window < 1:
         raise ValueError(f"window must be >= 1, got {args.window}")
     wcfg = WalkConfig(walks_per_node=args.walks, walk_length=args.walk_length, seed=args.seed)
-    tcfg = TrainConfig(
-        lr=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        negatives_per_positive=args.negatives,
-        seed=args.seed,
-    )
+    tcfg = TrainConfig(lr=args.lr, batch_size=args.batch, epochs=args.epochs,
+                       negatives_per_positive=args.negatives, seed=args.seed)
     return wcfg, tcfg
+
+
+def _save_table(out: Path, dims, g, table, history) -> None:
+    """embeddings{suffix}.tsv and train_log{suffix}.jsonl; suffix _d<dim> if --dim lists several."""
+    suffix = "" if len(dims) == 1 else f"_d{table.dim}"
+    table.save_tsv(out / f"embeddings{suffix}.tsv", g)
+    with open(out / f"train_log{suffix}.jsonl", "w", encoding="utf-8") as f:
+        for h in history:
+            f.write(json.dumps(h) + "\n")
 
 
 def cmd_train(args) -> int:
@@ -120,11 +120,7 @@ def cmd_train(args) -> int:
     corpus = build_corpus(walks, args.window, g.n_nodes)
     for d in dims:
         table, history = train(g, corpus, tcfg, d)
-        suffix = "" if len(dims) == 1 else f"_d{d}"
-        table.save_tsv(out / f"embeddings{suffix}.tsv", g)
-        with open(out / f"train_log{suffix}.jsonl", "w", encoding="utf-8") as f:
-            for h in history:
-                f.write(json.dumps(h) + "\n")
+        _save_table(out, dims, g, table, history)
     return 0
 
 
@@ -140,6 +136,7 @@ def cmd_reconstruct(args) -> int:
     for i, (path, emb) in enumerate(zip(args.embeddings, tables)):
         if declared is not None and emb.dim != declared[i]:
             raise ValueError(f"{path}: embedding dimension {emb.dim} != declared {declared[i]}")
+    # reconstruct() checks max_neg too, but only after manifest.json is written
     if args.max_neg < 1:
         raise ValueError(f"--max-neg must be >= 1, got {args.max_neg}")
     rng = seeding.substream(args.seed, seeding.NONEDGES)  # checks --seed
@@ -160,7 +157,10 @@ def cmd_linkpred(args) -> int:
     wcfg, tcfg = _pipeline_configs(args)
     g = load_graph(args.nodes, args.edges)
     out = Path(args.out)
-    split = _split(args, g)  # checks --edge-type and --fraction
+    rng = seeding.substream(args.seed, seeding.SPLITS)
+    split = make_link_split(g, args.edge_type, fraction=args.fraction, rng=rng)  # checks both flags
+    if split.warning:
+        print(f"warning: {split.warning}", file=sys.stderr)
     _write_manifest(args, "linkpred")
     save_link_split(split, out / "split", g)
     tg = split.train_graph
@@ -168,61 +168,12 @@ def cmd_linkpred(args) -> int:
     corpus = build_corpus(walks, args.window, tg.n_nodes)
     reports = []
     for d in dims:
-        table, _ = train(tg, corpus, tcfg, d)
-        suffix = "" if len(dims) == 1 else f"_d{d}"
-        table.save_tsv(out / f"embeddings{suffix}.tsv", tg)
+        table, history = train(tg, corpus, tcfg, d)
+        _save_table(out, dims, tg, table, history)
         reports.append(link_prediction_eval(split, table).to_dict())
     with open(out / "link_prediction.json", "w", encoding="utf-8") as f:
         json.dump(reports, f, indent=2)
     print(json.dumps(reports, indent=2))
-    return 0
-
-
-SWEEPABLE = {
-    "batch_size": ("batch", int),
-    "window": ("window", int),
-    "walks": ("walks", int),
-    "walk_length": ("walk_length", int),
-    "negatives": ("negatives", int),
-}
-
-
-SWEEP_RECORD = ("walks", "walk_length", "window", "negatives", "lr", "batch", "epochs", "seed")
-
-
-def cmd_sweep(args) -> int:
-    if args.param not in SWEEPABLE:
-        raise ValueError(f"unknown sweep parameter {args.param!r}; choose from {sorted(SWEEPABLE)}")
-    attr, cast = SWEEPABLE[args.param]
-    values = [cast(x) for x in str(args.values).split(",") if x]
-    if not values:
-        raise ValueError(f"--values {args.values!r} lists no value")
-    (dim,) = _dims(args)
-    runs = [argparse.Namespace(**(vars(args) | {attr: value})) for value in values]
-    configs = [_pipeline_configs(run) for run in runs]  # every value, before any output
-    g = load_graph(args.nodes, args.edges)
-    out = Path(args.out)
-    split = _split(args, g)  # checks --edge-type and --fraction
-    _write_manifest(args, "sweep")
-    tg = split.train_graph
-    records = []
-    for value, run, (wcfg, tcfg) in zip(values, runs, configs):
-        walks = generate_walks(tg, wcfg)
-        corpus = build_corpus(walks, run.window, tg.n_nodes)
-        table, _ = train(tg, corpus, tcfg, dim)
-        report = link_prediction_eval(split, table)
-        records.append(
-            {
-                "param": args.param,
-                "value": value,
-                "auc": report.auc,
-                "dimension": dim,
-                "config": {key: getattr(run, key) for key in SWEEP_RECORD},
-            }
-        )
-    with open(out / "sweep.json", "w", encoding="utf-8") as f:
-        json.dump(records, f, indent=2)
-    print(json.dumps(records, indent=2))
     return 0
 
 
@@ -255,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="embed a network and write embeddings + log")
     _add_common(p)
     _add_pipeline(p)
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--dims", default=None, help="comma list, e.g. 2,5,10")
     p.add_argument("--dump-walks", default=None, help="optional walk dump path")
     p.set_defaults(func=cmd_train)
 
@@ -272,21 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linkpred", help="20%% split, retrain, link-prediction AUC")
     _add_common(p)
     _add_pipeline(p)
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--dims", default=None, help="comma list of dimensions")
     p.add_argument("--edge-type", required=True)
     p.add_argument("--fraction", type=float, default=0.2)
     p.set_defaults(func=cmd_linkpred)
-
-    p = sub.add_parser("sweep", help="single-parameter sensitivity sweep (link prediction)")
-    _add_common(p)
-    _add_pipeline(p)
-    p.add_argument("--param", required=True, help=f"one of {sorted(SWEEPABLE)}")
-    p.add_argument("--values", required=True, help="comma list of values")
-    p.add_argument("--edge-type", required=True)
-    p.add_argument("--fraction", type=float, default=0.2)
-    p.add_argument("--dim", type=int, default=5)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("project", help="Poincare-disk projection and region stats")
     _add_common(p)
@@ -299,13 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for attr in ("nodes", "edges"):
-        path = getattr(args, attr, None)
-        if path is not None and not os.path.exists(path):
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return 2
-    emb = getattr(args, "embeddings", None)
-    for path in [emb] if isinstance(emb, str) else (emb or []):
+    emb = getattr(args, "embeddings", None) or []  # one path for project, a list for reconstruct
+    for path in [args.nodes, args.edges, *([emb] if isinstance(emb, str) else emb)]:
         if not os.path.exists(path):
             print(f"error: no such file: {path}", file=sys.stderr)
             return 2

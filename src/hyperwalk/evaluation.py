@@ -176,6 +176,8 @@ def reconstruct(
     enumerated, and scored, in blocks of ``BLOCK``: memory is the O(max_neg)
     pair and score arrays plus O(BLOCK) temporaries.
     """
+    if max_neg < 1:
+        raise ValueError(f"max_neg must be >= 1, got {max_neg}")
     et = g.edge_type(t)
     positives = g.edges_of_type(et)
     if len(positives) == 0:

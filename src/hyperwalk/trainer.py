@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lorentz, seeding
 from .corpus import SampleCorpus
-from .graph import TypedGraph
+from .graph import GraphError, TypedGraph, _parse_tsv
 
 # half-width of the uniform spatial noise of the initial points around the origin
 INIT_SCALE = 1e-3
@@ -81,15 +81,28 @@ class EmbeddingTable:
 def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
     """Load a :meth:`EmbeddingTable.save_tsv` file, its rows reordered to g's node indexing.
 
-    The file must name each node of g exactly once; otherwise ValueError.
+    Blank lines and lines starting with ``#`` are skipped, as in graph files.
+    A row whose field count differs from the first row's, a coordinate that
+    is not a number or one that is not finite raises GraphError naming
+    ``path:line``. The file must name each node of g exactly once; otherwise
+    ValueError.
     """
-    ids, rows = [], []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            fields = line.rstrip("\n").split("\t")
-            ids.append(fields[0])
+    ids, rows, linenos = [], [], []
+    width = None
+    for lineno, fields in _parse_tsv(path):
+        width = width or len(fields)  # the first row's
+        if len(fields) != width:
+            raise GraphError(f"{path}:{lineno}: {len(fields)} fields, the first row has {width}")
+        try:
             rows.append([float(x) for x in fields[2:]])
+        except ValueError:
+            raise GraphError(f"{path}:{lineno}: a coordinate is not a number") from None
+        ids.append(fields[0])
+        linenos.append(lineno)
     table = EmbeddingTable(np.asarray(rows))
+    bad = np.flatnonzero(~np.isfinite(table.coords).all(axis=1))
+    if bad.size:
+        raise GraphError(f"{path}:{linenos[bad[0]]}: a coordinate is not finite")
     distinct = set(ids)
     if len(ids) != g.n_nodes or distinct != set(g.node_ids):
         raise ValueError(

@@ -380,7 +380,7 @@ def test_criterion_08_table_layout(tmp_path):
 
     run = tmp_path / "run"
     rc = cli_main(["train", "--nodes", str(nodes_tsv), "--edges", str(edges_tsv),
-                   "--out", str(run), "--dims", "2,5", "--walks", "2",
+                   "--out", str(run), "--dim", "2,5", "--walks", "2",
                    "--walk-length", "10", "--epochs", "1", "--negatives", "3"])
     assert rc == 0
     rc = cli_main(["reconstruct", "--nodes", str(nodes_tsv), "--edges", str(edges_tsv),

@@ -84,7 +84,7 @@ def test_train_multi_dim_outputs(graph_files, tmp_path):
     nodes, edges = graph_files
     out = tmp_path / "multi"
     rc = main(["train", "--nodes", nodes, "--edges", edges, "--out", str(out),
-               "--dims", "2,3", *fast_flags()])
+               "--dim", "2,3", *fast_flags()])
     assert rc == 0
     assert (out / "embeddings_d2.tsv").exists()
     assert (out / "embeddings_d3.tsv").exists()
@@ -107,9 +107,9 @@ def test_dims_lists_are_checked(graph_files, tmp_path, capsys):
     for command in (["train"], ["linkpred", "--edge-type", "A-B"]):
         out = tmp_path / command[0]
         rc = main([*command, "--nodes", nodes, "--edges", edges, "--out", str(out),
-                   "--dims", ",", *fast_flags()])
+                   "--dim", ",", *fast_flags()])
         assert rc == 1
-        assert "error: ValueError: --dims ',' lists no dimension" in capsys.readouterr().err
+        assert "error: ValueError: --dim ',' lists no dimension" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -137,6 +137,19 @@ def test_linkpred_writes_split_and_report(graph_files, tmp_path):
     assert (out / "split" / "split.json").exists()
     reports = json.loads((out / "link_prediction.json").read_text())
     assert reports[0]["n_pos"] == reports[0]["n_neg"] > 0
+
+
+def test_linkpred_writes_the_train_log_that_train_writes(graph_files, tmp_path):
+    nodes, edges = graph_files
+    logs = {}
+    for command in (["train"], ["linkpred", "--edge-type", "A-B"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--nodes", nodes, "--edges", edges, "--out", str(out),
+                     "--dim", "2", *fast_flags(), "--epochs", "2"]) == 0
+        lines = (out / "train_log.jsonl").read_text().splitlines()
+        logs[command[0]] = [json.loads(line) for line in lines]
+    assert [r["epoch"] for r in logs["linkpred"]] == [0, 1]
+    assert [set(r) for r in logs["linkpred"]] == [set(r) for r in logs["train"]]
 
 
 def test_linkpred_split_follows_the_seed(tmp_path):
@@ -175,38 +188,17 @@ def test_project_exports_disk_coordinates(graph_files, tmp_path):
     assert len(regions["regions"]) == 3
 
 
-def test_sweep_runs_each_value(graph_files, tmp_path):
-    nodes, edges = graph_files
-    out = tmp_path / "s"
-    rc = main(["sweep", "--nodes", nodes, "--edges", edges, "--out", str(out),
-               "--edge-type", "A-B", "--param", "window", "--values", "1,2",
-               "--dim", "2", *fast_flags()])
-    assert rc == 0
-    records = json.loads((out / "sweep.json").read_text())
-    assert [r["value"] for r in records] == [1, 2]
-    assert all(r["param"] == "window" for r in records)
-
-
-def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
-    nodes, edges = graph_files
-    rc = main(["sweep", "--nodes", nodes, "--edges", edges, "--out", str(tmp_path / "x"),
-               "--edge-type", "A-B", "--param", "lr", "--values", "0.1", *fast_flags()])
-    assert rc == 1
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["linkpred", "--edge-type", "A-B", "--fraction", "1.5"],
          "ValueError: fraction must be in (0, 1], got 1.5"),
-        (["sweep", "--edge-type", "no-such-type", "--param", "window", "--values", "1"],
-         "GraphError: unknown edge type 'no-such-type'"),
-        (["sweep", "--edge-type", "A-B", "--param", "window", "--values", ","],
-         "ValueError: --values ',' lists no value"),
+        (["linkpred", "--edge-type", "no-such-type"], "GraphError: unknown edge type 'no-such-type'"),
+        (["train", "--dim", "2,3,2"], "ValueError: --dim lists dimension 2 more than once"),
         (["train", "--lr", "0"], "ValueError: lr, batch_size, negatives must be positive"),
         (["linkpred", "--edge-type", "A-B", "--negatives", "0"],
          "ValueError: lr, batch_size, negatives must be positive"),
-        (["sweep", "--edge-type", "A-B", "--param", "batch_size", "--values", "4,0"],
+        (["linkpred", "--edge-type", "A-B", "--batch", "0"],
          "ValueError: lr, batch_size, negatives must be positive"),
         (["train", "--window", "0"], "ValueError: window must be >= 1, got 0"),
         (["reconstruct", "--edge-type", "no-such", "--embeddings", "EMB"],
@@ -214,10 +206,10 @@ def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
         (["reconstruct", "--embeddings", "NODES"],
          "ValueError: coords must be (n_nodes, dim + 1) with dim >= 2"),
         (["train", "--dim", "1"], "ValueError: embedding dimension must be >= 2, got 1"),
-        (["train", "--dims", "2,1"], "ValueError: embedding dimension must be >= 2, got 1"),
+        (["train", "--dim", "2,1"], "ValueError: embedding dimension must be >= 2, got 1"),
         (["linkpred", "--edge-type", "A-B", "--dim", "1"],
          "ValueError: embedding dimension must be >= 2, got 1"),
-        (["sweep", "--edge-type", "A-B", "--param", "window", "--values", "1", "--dim", "1"],
+        (["linkpred", "--edge-type", "A-B", "--dim", "2,1"],
          "ValueError: embedding dimension must be >= 2, got 1"),
         (["train", "--seed", "-1"], "ValueError: seed must be non-negative"),
         (["reconstruct", "--embeddings", "EMB", "--seed", "-1"], "ValueError: seed must be non-negative"),
@@ -226,6 +218,8 @@ def test_sweep_rejects_unknown_parameter(graph_files, tmp_path):
         (["reconstruct", "--embeddings", "EMB", "--max-neg", "-5"],
          "ValueError: --max-neg must be >= 1, got -5"),
         (["train", "--dump-walks", "NODIR"], "FileNotFoundError: [Errno 2] No such file or directory"),
+        (["reconstruct", "--embeddings", "EMB", "--embeddings", "NANEMB"],
+         "GraphError: NANEMB:3: a coordinate is not finite"),
     ],
 )
 def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, message):
@@ -233,8 +227,14 @@ def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, m
     out = tmp_path / "o"
     g, emb = load_graph(nodes, edges), tmp_path / "emb.tsv"
     init_embeddings(g, 2, 1.0, np.random.default_rng(0)).save_tsv(emb, g)
-    paths = {"EMB": str(emb), "NODES": nodes, "NODIR": str(tmp_path / "nodir" / "w.txt")}
+    nan_emb = tmp_path / "nan_emb.tsv"  # a valid table but for one nan on line 3
+    rows = emb.read_text().splitlines()
+    rows[2] = rows[2].rsplit("\t", 1)[0] + "\tnan"
+    nan_emb.write_text("\n".join(rows) + "\n")
+    paths = {"EMB": str(emb), "NANEMB": str(nan_emb), "NODES": nodes,
+             "NODIR": str(tmp_path / "nodir" / "w.txt")}
     argv = [paths.get(a, a) for a in argv]
+    message = message.replace("NANEMB", paths["NANEMB"])
     # reconstruct walks and trains nothing, so it takes no pipeline flags;
     # argv comes last, so that its flags override fast_flags()
     flags = [] if argv[0] == "reconstruct" else fast_flags()

@@ -216,6 +216,15 @@ def test_reconstruct_flags_sampled_negatives(rng):
     assert rep.negatives_sampled and rep.n_neg == 2
 
 
+@pytest.mark.parametrize("max_neg", [0, -5])
+def test_reconstruct_rejects_max_neg_below_one(rng, max_neg):
+    nodes = [(f"a{i}", "A") for i in range(4)] + [(f"b{i}", "B") for i in range(4)]
+    g = TypedGraph(nodes, [(0, 4), (1, 5), (2, 6), (3, 7)])
+    emb = embed_at(random_points(rng, 8, 3))
+    with pytest.raises(ValueError, match=f"max_neg must be >= 1, got {max_neg}"):
+        reconstruct(g, emb, "A-B", max_neg=max_neg, rng=rng)
+
+
 def test_reports_count_pairs_that_touch_an_isolated_node(rng):
     # a3 has no edge, so all 3 of its A-B pairs are among the 8 non-edges
     nodes = [(f"a{i}", "A") for i in range(4)] + [(f"b{i}", "B") for i in range(3)]

@@ -8,7 +8,7 @@ import pytest
 
 from hyperwalk import lorentz, seeding, trainer
 from hyperwalk.corpus import AliasTable, build_corpus
-from hyperwalk.graph import TypedGraph
+from hyperwalk.graph import GraphError, TypedGraph
 from hyperwalk.seeding import substream
 from hyperwalk.synthetic import two_block_graph
 from hyperwalk.trainer import (
@@ -264,6 +264,36 @@ def test_short_embedding_file_is_rejected(tiny_hetero, tmp_path):
     emb.save_tsv(path, tiny_hetero)
     path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")  # drops a0
     with pytest.raises(ValueError, match="emb.tsv"):
+        load_embeddings_for_graph(path, tiny_hetero)
+
+
+def test_embedding_file_skips_blank_and_comment_lines(tiny_hetero, tmp_path):
+    emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
+    path = tmp_path / "emb.tsv"
+    emb.save_tsv(path, tiny_hetero)
+    lines = path.read_text().splitlines()
+    path.write_text("# header\n" + "\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+    np.testing.assert_array_equal(load_embeddings_for_graph(path, tiny_hetero).coords, emb.coords)
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ("0\t0\t1", "emb.tsv:3: 5 fields, the first row has 6"),
+        ("0\t0\t0\t1\t0", "emb.tsv:3: 7 fields, the first row has 6"),
+        ("x\t0\t0\t1", "emb.tsv:3: a coordinate is not a number"),
+        ("nan\t0\t0\t1", "emb.tsv:3: a coordinate is not finite"),
+        ("0\t0\t0\tinf", "emb.tsv:3: a coordinate is not finite"),
+    ],
+)
+def test_malformed_embedding_row_names_its_line(tiny_hetero, tmp_path, coords, message):
+    emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
+    path = tmp_path / "emb.tsv"
+    emb.save_tsv(path, tiny_hetero)
+    lines = path.read_text().splitlines()
+    lines[1:2] = ["", "a1\tauthor\t" + coords]  # a blank line 2, the a1 row on line 3
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphError, match=message):
         load_embeddings_for_graph(path, tiny_hetero)
 
 
