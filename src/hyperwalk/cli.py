@@ -2,8 +2,9 @@
 
 A run depends only on its flags and input files. All randomness flows from
 one --seed through named substreams, so runs with identical flags are
-byte-identical. Every run writes a manifest.json with the fully resolved
-configuration.
+byte-identical. A command does all its work, then creates --out and writes
+manifest.json (the fully resolved configuration) and its other files last,
+so a failed run leaves no --out; --dump-walks is written once walks exist.
 
 A runtime failure prints ``error: <ExceptionType>: <message>`` to stderr.
 
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, seeding
@@ -73,7 +75,7 @@ def _dims(args) -> list[int]:
     return dims
 
 
-def _write_manifest(args, command: str) -> None:
+def _write_manifest(args, command: str) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resolved = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items()}
@@ -86,11 +88,10 @@ def _write_manifest(args, command: str) -> None:
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
+    return out
 
 
 def _pipeline_configs(args):
-    if args.window < 1:
-        raise ValueError(f"window must be >= 1, got {args.window}")
     wcfg = WalkConfig(walks_per_node=args.walks, walk_length=args.walk_length, seed=args.seed)
     tcfg = TrainConfig(lr=args.lr, batch_size=args.batch, epochs=args.epochs,
                        negatives_per_positive=args.negatives, seed=args.seed)
@@ -110,16 +111,13 @@ def cmd_train(args) -> int:
     dims = _dims(args)
     wcfg, tcfg = _pipeline_configs(args)
     g = load_graph(args.nodes, args.edges)
-    out = Path(args.out)
-    if args.dump_walks:  # a dump path that cannot be written fails before any output
-        open(args.dump_walks, "w").close()
-    _write_manifest(args, "train")
     walks = generate_walks(g, wcfg)
     if args.dump_walks:
         dump_walks(walks, g, args.dump_walks)
     corpus = build_corpus(walks, args.window, g.n_nodes)
-    for d in dims:
-        table, history = train(g, corpus, tcfg, d)
+    trained = [train(g, corpus, tcfg, d) for d in dims]
+    out = _write_manifest(args, "train")
+    for table, history in trained:
         _save_table(out, dims, g, table, history)
     return 0
 
@@ -131,21 +129,15 @@ def cmd_reconstruct(args) -> int:
             f"--dims lists {len(declared)} dimensions for {len(args.embeddings)} --embeddings files"
         )
     g = load_graph(args.nodes, args.edges)
-    edge_types = [g.edge_type(args.edge_type).label] if args.edge_type else [t.label for t in g.edge_types]
+    edge_types = [args.edge_type] if args.edge_type else [t.label for t in g.edge_types]
     tables = [load_embeddings_for_graph(path, g) for path in args.embeddings]
     for i, (path, emb) in enumerate(zip(args.embeddings, tables)):
         if declared is not None and emb.dim != declared[i]:
             raise ValueError(f"{path}: embedding dimension {emb.dim} != declared {declared[i]}")
-    # reconstruct() checks max_neg too, but only after manifest.json is written
-    if args.max_neg < 1:
-        raise ValueError(f"--max-neg must be >= 1, got {args.max_neg}")
-    rng = seeding.substream(args.seed, seeding.NONEDGES)  # checks --seed
-    out = Path(args.out)
-    _write_manifest(args, "reconstruct")
-    reports = []
-    for emb in tables:
-        for et in edge_types:
-            reports.append(reconstruct(g, emb, et, max_neg=args.max_neg, rng=rng).to_dict())
+    rng = seeding.substream(args.seed, seeding.NONEDGES)
+    reports = [asdict(reconstruct(g, emb, et, max_neg=args.max_neg, rng=rng))
+               for emb in tables for et in edge_types]
+    out = _write_manifest(args, "reconstruct")
     with open(out / "reconstruction.json", "w", encoding="utf-8") as f:
         json.dump(reports, f, indent=2)
     print(json.dumps(reports, indent=2))
@@ -156,21 +148,19 @@ def cmd_linkpred(args) -> int:
     dims = _dims(args)
     wcfg, tcfg = _pipeline_configs(args)
     g = load_graph(args.nodes, args.edges)
-    out = Path(args.out)
     rng = seeding.substream(args.seed, seeding.SPLITS)
-    split = make_link_split(g, args.edge_type, fraction=args.fraction, rng=rng)  # checks both flags
+    split = make_link_split(g, args.edge_type, fraction=args.fraction, rng=rng)
     if split.warning:
         print(f"warning: {split.warning}", file=sys.stderr)
-    _write_manifest(args, "linkpred")
-    save_link_split(split, out / "split", g)
     tg = split.train_graph
     walks = generate_walks(tg, wcfg)
     corpus = build_corpus(walks, args.window, tg.n_nodes)
-    reports = []
-    for d in dims:
-        table, history = train(tg, corpus, tcfg, d)
+    trained = [train(tg, corpus, tcfg, d) for d in dims]
+    reports = [asdict(link_prediction_eval(split, table)) for table, _ in trained]
+    out = _write_manifest(args, "linkpred")
+    save_link_split(split, out / "split", g)
+    for table, history in trained:
         _save_table(out, dims, tg, table, history)
-        reports.append(link_prediction_eval(split, table).to_dict())
     with open(out / "link_prediction.json", "w", encoding="utf-8") as f:
         json.dump(reports, f, indent=2)
     print(json.dumps(reports, indent=2))
@@ -179,13 +169,12 @@ def cmd_linkpred(args) -> int:
 
 def cmd_project(args) -> int:
     g = load_graph(args.nodes, args.edges)
-    out = Path(args.out)
     emb = load_embeddings_for_graph(args.embeddings, g)
     report = None
-    if args.region_type:  # region_stats checks --region-type and --boundaries
+    if args.region_type:
         boundaries = [float(x) for x in str(args.boundaries).split(",") if x]
-        report = region_stats(g, emb, args.region_type, boundaries).to_dict()
-    _write_manifest(args, "project")
+        report = asdict(region_stats(g, emb, args.region_type, boundaries))
+    out = _write_manifest(args, "project")
     export_projection(emb, out / "projection.tsv", g)
     if report is not None:
         with open(out / "regions.json", "w", encoding="utf-8") as f:

@@ -13,7 +13,7 @@ enumerated non-edges are node indices at the corpus's width,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,6 @@ class AucReport:
     negatives_sampled: bool = False
     warning: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class LinkSplit:
@@ -70,10 +67,19 @@ def _score_pairs(emb: EmbeddingTable, pairs: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def _isolated_pairs(g: TypedGraph, *pair_sets: np.ndarray) -> int:
-    """Pairs, over all the (k, 2) index arrays given, with an isolated endpoint in g."""
+def _auc_report(g: TypedGraph, emb: EmbeddingTable, edge_type: str, pos, neg, **extra):
+    """AucReport of the (k, 2) positive and negative pairs: their AUC, and how
+    many have an endpoint isolated in g, the graph trained on."""
     isolated = g.degrees() == 0
-    return sum(int(isolated[pairs].any(axis=1).sum()) for pairs in pair_sets)
+    return AucReport(
+        edge_type=edge_type,
+        dimension=emb.dim,
+        auc=auc(_score_pairs(emb, pos), _score_pairs(emb, neg)),
+        n_pos=len(pos),
+        n_neg=len(neg),
+        isolated_pairs=sum(int(isolated[pairs].any(axis=1).sum()) for pairs in (pos, neg)),
+        **extra,
+    )
 
 
 def auc(pos_scores, neg_scores) -> float:
@@ -169,7 +175,8 @@ def reconstruct(
     max_neg: int = DEFAULT_MAX_NEG,
     rng=None,
 ) -> AucReport:
-    """AUC of true edges of type t against type-compatible non-edges.
+    """AUC of true edges of type t against type-compatible non-edges: pairs
+    with no edge of any type between them.
 
     Enumerates all non-edges when their count fits max_neg, otherwise takes
     a uniform sample of max_neg (flagged in the report). Pairs are sampled or
@@ -183,7 +190,8 @@ def reconstruct(
     if len(positives) == 0:
         raise GraphError(f"no edges of type {et.label!r}")
     A, B = _compatible_sides(g, et)
-    n_non = _n_compatible_pairs(et, A, B) - len(positives)
+    same_ends = [s.id for s in g.edge_types if s.endpoint_types == et.endpoint_types]
+    n_non = _n_compatible_pairs(et, A, B) - int(np.isin(g.edge_type_of, same_ends).sum())
     if n_non <= 0:
         raise GraphError(f"edge type {et.label!r} is complete: no non-edges exist")
     sampled = n_non > max_neg
@@ -193,15 +201,7 @@ def reconstruct(
         negatives = _sample_non_edges(g, et, max_neg, rng)
     else:
         negatives = _all_non_edges(g, et)
-    return AucReport(
-        edge_type=et.label,
-        dimension=emb.dim,
-        auc=auc(_score_pairs(emb, positives), _score_pairs(emb, negatives)),
-        n_pos=len(positives),
-        n_neg=len(negatives),
-        isolated_pairs=_isolated_pairs(g, positives, negatives),
-        negatives_sampled=sampled,
-    )
+    return _auc_report(g, emb, et.label, positives, negatives, negatives_sampled=sampled)
 
 
 def _removable(g: TypedGraph, et: EdgeType, edges_t: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -301,20 +301,8 @@ def link_prediction_eval(split: LinkSplit, emb: EmbeddingTable) -> AucReport:
     """AUC over removed edges vs the split's sampled non-edges."""
     if len(split.removed_edges) == 0:
         raise ValueError("link split has no removed edges")
-    return AucReport(
-        edge_type=split.edge_type,
-        dimension=emb.dim,
-        auc=auc(
-            _score_pairs(emb, split.removed_edges),
-            _score_pairs(emb, split.sampled_non_edges),
-        ),
-        n_pos=len(split.removed_edges),
-        n_neg=len(split.sampled_non_edges),
-        isolated_pairs=_isolated_pairs(
-            split.train_graph, split.removed_edges, split.sampled_non_edges
-        ),
-        warning=split.warning,
-    )
+    return _auc_report(split.train_graph, emb, split.edge_type, split.removed_edges,
+                       split.sampled_non_edges, warning=split.warning)
 
 
 @dataclass
@@ -330,9 +318,6 @@ class RegionReport:
     boundaries: list[float]
     regions: list[RegionBand] = field(default_factory=list)
     overflow: RegionBand | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def region_stats(
@@ -354,19 +339,12 @@ def region_stats(
     radius = np.asarray(lorentz.hyperbolic_distance(lorentz.origin(emb.dim), emb.coords[nodes]))
     degrees = g.degrees()[nodes].astype(np.float64)
     band = np.searchsorted(bounds, radius, side="left")
-    report = RegionReport(node_type=nt.label, boundaries=bounds)
-    for i, ub in enumerate(bounds):
+    bands = []
+    for i, ub in enumerate([*bounds, None]):  # band len(bounds) is the overflow bucket
         mask = band == i
         n = int(mask.sum())
-        report.regions.append(
-            RegionBand(ub, n, float(degrees[mask].mean()) if n else float("nan"))
-        )
-    over = band == len(bounds)
-    n_over = int(over.sum())
-    report.overflow = RegionBand(
-        None, n_over, float(degrees[over].mean()) if n_over else float("nan")
-    )
-    return report
+        bands.append(RegionBand(ub, n, float(degrees[mask].mean()) if n else float("nan")))
+    return RegionReport(nt.label, bounds, regions=bands[:-1], overflow=bands[-1])
 
 
 def export_projection(emb: EmbeddingTable, out, g: TypedGraph) -> None:

@@ -141,24 +141,10 @@ class TypedGraph:
             raise GraphError(f"unknown node id {node_id!r}") from None
 
     def node_type(self, label_or_id) -> NodeType:
-        if isinstance(label_or_id, NodeType):
-            return label_or_id
-        if isinstance(label_or_id, str):
-            for t in self.node_types:
-                if t.label == label_or_id:
-                    return t
-            raise GraphError(f"unknown node type {label_or_id!r}")
-        return self.node_types[int(label_or_id)]
+        return _find_type(self.node_types, NodeType, "node", label_or_id)
 
     def edge_type(self, label_or_id) -> EdgeType:
-        if isinstance(label_or_id, EdgeType):
-            return label_or_id
-        if isinstance(label_or_id, str):
-            for t in self.edge_types:
-                if t.label == label_or_id:
-                    return t
-            raise GraphError(f"unknown edge type {label_or_id!r}")
-        return self.edge_types[int(label_or_id)]
+        return _find_type(self.edge_types, EdgeType, "edge", label_or_id)
 
     def adjacency_groups(self, v: int) -> list[tuple[int, np.ndarray]]:
         """Neighbors of v grouped by neighbor type id, in type-id order; a
@@ -202,6 +188,18 @@ class TypedGraph:
                 )
 
 
+def _find_type(types: list, cls: type, kind: str, label_or_id):
+    """The type in ``types`` given as an instance of cls, a label or an id."""
+    if isinstance(label_or_id, cls):
+        return label_or_id
+    if isinstance(label_or_id, str):
+        for t in types:
+            if t.label == label_or_id:
+                return t
+        raise GraphError(f"unknown {kind} type {label_or_id!r}")
+    return types[int(label_or_id)]
+
+
 def _parse_tsv(path):
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -216,8 +214,8 @@ def load_graph(nodes_file, edges_file) -> TypedGraph:
 
     Nodes: ``node_id<TAB>type_label``. Edges: ``src<TAB>dst[<TAB>edge_label]``.
     Lines starting with ``#`` are skipped. Duplicate edges are collapsed with
-    a warning; malformed lines and unknown node ids raise GraphError naming
-    the offending line.
+    a warning. Malformed lines and unknown node ids raise GraphError naming
+    the line; a repeated node id raises GraphError naming the id.
     """
     nodes = []
     for lineno, fields in _parse_tsv(nodes_file):
@@ -225,10 +223,6 @@ def load_graph(nodes_file, edges_file) -> TypedGraph:
             raise GraphError(f"{nodes_file}:{lineno}: malformed node line")
         nodes.append((fields[0].strip(), fields[1].strip()))
     index = {nid: i for i, (nid, _) in enumerate(nodes)}
-    if len(index) != len(nodes):
-        for i, (nid, _) in enumerate(nodes):
-            if index[nid] != i:
-                raise GraphError(f"duplicate node id {nid!r} in {nodes_file}")
     edges = []
     for lineno, fields in _parse_tsv(edges_file):
         if len(fields) not in (2, 3) or not fields[0] or not fields[1]:

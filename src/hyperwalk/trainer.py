@@ -82,12 +82,13 @@ def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
     """Load a :meth:`EmbeddingTable.save_tsv` file, its rows reordered to g's node indexing.
 
     Blank lines and lines starting with ``#`` are skipped, as in graph files.
-    A row whose field count differs from the first row's, a coordinate that
-    is not a number or one that is not finite raises GraphError naming
-    ``path:line``. The file must name each node of g exactly once; otherwise
-    ValueError.
+    GraphError naming ``path:line`` is raised for a row whose field count
+    differs from the first row's, a coordinate that is not a number or not
+    finite, a point off the hyperboloid (time coordinate not within a relative
+    1e-9 of sqrt(1 + |spatial|^2)) or a type label other than g's for that
+    node. The file must name each node of g exactly once; otherwise ValueError.
     """
-    ids, rows, linenos = [], [], []
+    ids, labels, rows, linenos = [], [], [], []
     width = None
     for lineno, fields in _parse_tsv(path):
         width = width or len(fields)  # the first row's
@@ -98,11 +99,17 @@ def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
         except ValueError:
             raise GraphError(f"{path}:{lineno}: a coordinate is not a number") from None
         ids.append(fields[0])
+        labels.append(fields[1])
         linenos.append(lineno)
     table = EmbeddingTable(np.asarray(rows))
     bad = np.flatnonzero(~np.isfinite(table.coords).all(axis=1))
     if bad.size:
         raise GraphError(f"{path}:{linenos[bad[0]]}: a coordinate is not finite")
+    # a relative test: <x,x>_M + 1 cancels catastrophically far from the origin
+    time = lorentz.normalize(table.coords)[:, -1]
+    bad = np.flatnonzero(np.abs(table.coords[:, -1] - time) > 1e-9 * time)
+    if bad.size:
+        raise GraphError(f"{path}:{linenos[bad[0]]}: the point is not on the hyperboloid")
     distinct = set(ids)
     if len(ids) != g.n_nodes or distinct != set(g.node_ids):
         raise ValueError(
@@ -111,6 +118,10 @@ def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
             f"{len(distinct.difference(g.node_ids))} of them not in the graph"
         )
     order = np.asarray([g.node_index(i) for i in ids])
+    for lineno, node_id, label, t in zip(linenos, ids, labels, g.node_type_of[order].tolist()):
+        if label != g.node_types[t].label:
+            raise GraphError(f"{path}:{lineno}: node {node_id!r} is of type "
+                             f"{g.node_types[t].label!r} in the graph, not {label!r}")
     coords = np.empty_like(table.coords)
     coords[order] = table.coords
     return EmbeddingTable(coords)

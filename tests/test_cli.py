@@ -214,9 +214,9 @@ def test_project_exports_disk_coordinates(graph_files, tmp_path):
         (["train", "--seed", "-1"], "ValueError: seed must be non-negative"),
         (["reconstruct", "--embeddings", "EMB", "--seed", "-1"], "ValueError: seed must be non-negative"),
         (["reconstruct", "--embeddings", "EMB", "--max-neg", "0"],
-         "ValueError: --max-neg must be >= 1, got 0"),
+         "ValueError: max_neg must be >= 1, got 0"),
         (["reconstruct", "--embeddings", "EMB", "--max-neg", "-5"],
-         "ValueError: --max-neg must be >= 1, got -5"),
+         "ValueError: max_neg must be >= 1, got -5"),
         (["train", "--dump-walks", "NODIR"], "FileNotFoundError: [Errno 2] No such file or directory"),
         (["reconstruct", "--embeddings", "EMB", "--embeddings", "NANEMB"],
          "GraphError: NANEMB:3: a coordinate is not finite"),
@@ -242,6 +242,26 @@ def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, m
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging update overflows
+def test_a_run_that_fails_after_its_inputs_load_leaves_no_output(tmp_path, capsys):
+    # every A-P pair is an edge, so A-P has no non-edges to reconstruct against
+    g = TypedGraph([("a0", "A"), ("a1", "A"), ("p0", "P"), ("p1", "P")],
+                   [(0, 2), (0, 3), (1, 2), (1, 3)])
+    nodes, edges, emb = tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "emb.tsv"
+    g.save(nodes, edges)
+    init_embeddings(g, 2, 1.0, np.random.default_rng(0)).save_tsv(emb, g)
+    for argv, message in (
+        (["train", *fast_flags(), "--lr", "1e10"], "TrainingDiverged: non-finite update"),
+        (["reconstruct", "--embeddings", str(emb)], "GraphError: edge type 'A-P' is complete"),
+    ):
+        out = tmp_path / argv[0]
+        rc = main([argv[0], "--nodes", str(nodes), "--edges", str(edges), "--out", str(out),
+                   *argv[1:]])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("boundaries", ["1,0.5", "2,2", ","])

@@ -28,7 +28,7 @@ from hyperwalk.evaluation import (
     region_stats,
     save_link_split,
 )
-from hyperwalk.graph import TypedGraph
+from hyperwalk.graph import GraphError, TypedGraph
 from hyperwalk.seeding import NONEDGES, substream
 from hyperwalk.synthetic import dblp_shaped_graph, two_block_graph
 from hyperwalk.trainer import INIT_SCALE, EmbeddingTable, init_embeddings
@@ -206,6 +206,23 @@ def test_reconstruct_complete_relation_has_no_negatives(rng):
     emb = embed_at(random_points(rng, 3, 2))
     with pytest.raises(ValueError):
         reconstruct(g, emb, "A-B")
+
+
+def test_reconstruct_counts_the_edges_of_every_label_between_its_types(rng):
+    # writes and reviews both join A to P, so a pair joined by either is no non-edge
+    nodes = [("a0", "A"), ("a1", "A"), ("p0", "P"), ("p1", "P"), ("p2", "P")]
+    emb = embed_at(random_points(rng, 5, 2))
+    full = TypedGraph(nodes[:4], [(0, 2, "writes"), (1, 3, "writes"),
+                                  (0, 3, "reviews"), (1, 2, "reviews")])
+    for max_neg in (1, 10):  # sampling and enumerating alike
+        with pytest.raises(GraphError, match="'writes' is complete: no non-edges exist"):
+            reconstruct(full, EmbeddingTable(emb.coords[:4]), "writes", max_neg=max_neg, rng=rng)
+    # 2 of the 6 A-P pairs are non-edges; they fit max_neg=3, so both are enumerated
+    partial = TypedGraph(nodes, [(0, 2, "writes"), (1, 3, "writes"),
+                                 (0, 3, "reviews"), (1, 4, "reviews")])
+    rep = reconstruct(partial, emb, "writes", max_neg=3, rng=rng)
+    assert not rep.negatives_sampled
+    assert (rep.n_pos, rep.n_neg) == (2, 2)
 
 
 def test_reconstruct_flags_sampled_negatives(rng):

@@ -93,6 +93,14 @@ def test_rejects_bad_edges():
         TypedGraph([("a", "t"), ("a", "t")], [])  # duplicate id
 
 
+def test_load_graph_rejects_a_repeated_node_id(tmp_path):
+    nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    nodes.write_text("a\tA\nb\tB\na\tA\n")
+    edges.write_text("a\tb\n")
+    with pytest.raises(GraphError, match="duplicate node id 'a'"):
+        load_graph(nodes, edges)
+
+
 def test_isolated_node_has_no_neighbors():
     g = TypedGraph([("a", "t"), ("b", "t")], [])
     assert neighbors(g, 0).size == 0

@@ -284,6 +284,10 @@ def test_embedding_file_skips_blank_and_comment_lines(tiny_hetero, tmp_path):
         ("x\t0\t0\t1", "emb.tsv:3: a coordinate is not a number"),
         ("nan\t0\t0\t1", "emb.tsv:3: a coordinate is not finite"),
         ("0\t0\t0\tinf", "emb.tsv:3: a coordinate is not finite"),
+        # <x,x>_M + 1 is 1.0 at time coordinate 0, 25.0 here, and 0 on the lower sheet
+        ("0\t0\t0\t0", "emb.tsv:3: the point is not on the hyperboloid"),
+        ("3\t4\t0\t1", "emb.tsv:3: the point is not on the hyperboloid"),
+        ("0\t0\t0\t-1", "emb.tsv:3: the point is not on the hyperboloid"),
     ],
 )
 def test_malformed_embedding_row_names_its_line(tiny_hetero, tmp_path, coords, message):
@@ -295,6 +299,24 @@ def test_malformed_embedding_row_names_its_line(tiny_hetero, tmp_path, coords, m
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(GraphError, match=message):
         load_embeddings_for_graph(path, tiny_hetero)
+
+
+def test_embedding_row_must_carry_the_graphs_type_label(tmp_path):
+    g = TypedGraph([("a", "A"), ("b", "B"), ("c", "B")], [(0, 1), (0, 2)])
+    path = tmp_path / "emb.tsv"
+    init_embeddings(g, 2, 0.5, np.random.default_rng(0)).save_tsv(path, g)
+    path.write_text(path.read_text().replace("\tB\t", "\tvenue\t"))  # b and c relabelled
+    with pytest.raises(GraphError, match="emb.tsv:2: node 'b' is of type 'B' in the graph, not 'venue'"):
+        load_embeddings_for_graph(path, g)
+
+
+def test_trained_and_far_out_points_load_bit_exactly(trained, tmp_path):
+    g, corpus, cfg = trained
+    table, _ = train(g, corpus, cfg, dim=2)
+    table.coords[1] = [np.sinh(40.0), 0.0, np.cosh(40.0)]  # radius 40
+    path = tmp_path / "emb.tsv"
+    table.save_tsv(path, g)
+    np.testing.assert_array_equal(load_embeddings_for_graph(path, g).coords, table.coords)
 
 
 # --- training loop --------------------------------------------------------
