@@ -17,7 +17,7 @@ from .evaluation import (
 )
 from .graph import TypedGraph, load_graph
 from .trainer import EmbeddingTable, TrainConfig, init_embeddings, train
-from .walk import WalkConfig, Walks, generate_walks, transition_distribution
+from .walk import WalkConfig, Walks, generate_walks
 
 __all__ = [
     "EmbeddingTable",
@@ -36,5 +36,4 @@ __all__ = [
     "reconstruct",
     "region_stats",
     "train",
-    "transition_distribution",
 ]

@@ -1,8 +1,9 @@
 """Command-line front-end: train / reconstruct / linkpred / project.
 
 A run depends only on its flags and input files. All randomness flows from
-one --seed through named substreams, so runs with identical flags are
-byte-identical. A command does all its work, then creates --out and writes
+one --seed through named substreams, so runs with identical flags write
+byte-identical files, but for the ``wall_time_s`` of each train_log*.jsonl
+record. A command does all its work, then creates --out and writes
 manifest.json (the fully resolved configuration) and its other files last,
 so a failed run leaves no --out; --dump-walks is written once walks exist.
 

@@ -146,15 +146,6 @@ class TypedGraph:
     def edge_type(self, label_or_id) -> EdgeType:
         return _find_type(self.edge_types, EdgeType, "edge", label_or_id)
 
-    def adjacency_groups(self, v: int) -> list[tuple[int, np.ndarray]]:
-        """Neighbors of v grouped by neighbor type id, in type-id order; a
-        group lists its neighbors in edge order."""
-        n_types = len(self.node_types)
-        bounds = self.type_offsets[v * n_types : (v + 1) * n_types + 1].tolist()
-        return [
-            (t, self.adjacency[lo:hi]) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo
-        ]
-
     def degrees(self) -> np.ndarray:
         """Degree of every node, indexed by node."""
         return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
@@ -213,24 +204,27 @@ def load_graph(nodes_file, edges_file) -> TypedGraph:
     """Load a TypedGraph from node/edge TSV files.
 
     Nodes: ``node_id<TAB>type_label``. Edges: ``src<TAB>dst[<TAB>edge_label]``.
-    Lines starting with ``#`` are skipped. Duplicate edges are collapsed with
-    a warning. Malformed lines and unknown node ids raise GraphError naming
+    Lines starting with ``#`` are skipped and fields are read stripped.
+    Duplicate edges are collapsed with a warning. A line with the wrong field
+    count or a blank field, and an unknown node id, raise GraphError naming
     the line; a repeated node id raises GraphError naming the id.
     """
     nodes = []
     for lineno, fields in _parse_tsv(nodes_file):
-        if len(fields) != 2 or not fields[0] or not fields[1]:
+        nid, label = fields[0].strip(), fields[-1].strip()
+        if len(fields) != 2 or not nid or not label:
             raise GraphError(f"{nodes_file}:{lineno}: malformed node line")
-        nodes.append((fields[0].strip(), fields[1].strip()))
+        nodes.append((nid, label))
     index = {nid: i for i, (nid, _) in enumerate(nodes)}
     edges = []
     for lineno, fields in _parse_tsv(edges_file):
-        if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
+        src, dst = fields[0].strip(), (fields[1].strip() if len(fields) > 1 else "")
+        if len(fields) not in (2, 3) or not src or not dst:
             raise GraphError(f"{edges_file}:{lineno}: malformed edge line")
-        src, dst = fields[0].strip(), fields[1].strip()
         for nid in (src, dst):
             if nid not in index:
                 raise GraphError(f"{edges_file}:{lineno}: unknown node id {nid!r}")
+        # the last field of a line never strips to empty: _parse_tsv rstrips it
         label = fields[2].strip() if len(fields) == 3 else None
         edges.append((index[src], index[dst], label))
     return TypedGraph(nodes, edges)

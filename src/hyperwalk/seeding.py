@@ -1,8 +1,9 @@
 """Named RNG substreams derived from a single master seed.
 
-Every source of randomness in a run (walks, negative sampling, edge splits,
-embedding init, pair draws) pulls from its own substream so that components
-can be re-run independently and results stay reproducible.
+Every source of randomness in a run (walks, embedding init, negative
+sampling, the trainer's pair draws, edge splits, sampled non-edges) pulls
+from its own substream so that components can be re-run independently and
+results stay reproducible. A key's value, not its name, selects the stream.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 WALKS = 1
 INIT = 2
 NEGATIVES = 3
-SHUFFLE = 4
+PAIRS = 4  # the trainer's draws of pair indices
 SPLITS = 5
 NONEDGES = 6
 

@@ -38,27 +38,6 @@ def two_block_graph(rng, sizes=(290, 20, 290)) -> TypedGraph:
     return TypedGraph(nodes, edges)
 
 
-def powerlaw_bipartite_graph(rng) -> TypedGraph:
-    """300 "author" and 400 "paper" nodes; author degrees follow a Zipf law of
-    exponent 2 truncated at 200, and every paper gets at least one author."""
-    n_hubs, n_items = 300, 400
-    nodes = [(f"h{i}", "author") for i in range(n_hubs)]
-    nodes += [(f"i{j}", "paper") for j in range(n_items)]
-    degrees = np.minimum(rng.zipf(2.0, size=n_hubs), n_items // 2)
-    edges = set()
-    for i, d in enumerate(degrees):
-        targets = rng.choice(n_items, size=int(d), replace=False)
-        for j in targets:
-            edges.add((i, n_hubs + int(j)))
-    # keep every item attached so the graph has no isolated paper nodes
-    linked = {v for _, v in edges}
-    for j in range(n_items):
-        v = n_hubs + j
-        if v not in linked:
-            edges.add((int(rng.integers(n_hubs)), v))
-    return TypedGraph(nodes, sorted(edges))
-
-
 def dblp_shaped_graph(rng) -> TypedGraph:
     """DBLP's node and type counts, 14,475 A, 14,376 P and 20 V nodes, with a
     random structure: each paper gets 1-3 distinct authors and one venue,

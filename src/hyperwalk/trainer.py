@@ -170,27 +170,6 @@ def _pair_terms(U: np.ndarray, W: np.ndarray):
     return loss, p, grad_u, grad_w
 
 
-def _stack_candidates(e_v, negs):
-    negs = [np.asarray(n, dtype=np.float64) for n in negs]
-    return np.stack([np.asarray(e_v, dtype=np.float64), *negs], axis=0)
-
-
-def pair_loss(e_u, e_v, negs=()) -> float:
-    W = _stack_candidates(e_v, negs)
-    loss, _, _, _ = _pair_terms(np.asarray(e_u, dtype=np.float64)[:, None], W.T[:, None, :])
-    return float(loss[0])
-
-
-def pair_gradients(e_u, e_v, negs=()):
-    """Tangent-space gradients of the pair loss for u, v, and each negative."""
-    e_u = np.asarray(e_u, dtype=np.float64)
-    W = _stack_candidates(e_v, negs)
-    _, _, grad_u, grad_w = _pair_terms(e_u[:, None], W.T[:, None, :])
-    gu = lorentz.project_to_tangent(e_u, grad_u[:, 0])
-    gw = lorentz.project_to_tangent(W, grad_w[:, 0].T)
-    return gu, gw[0], [gw[i] for i in range(1, W.shape[0])]
-
-
 def train(
     g: TypedGraph, corpus: SampleCorpus, cfg: TrainConfig, dim: int
 ) -> tuple[EmbeddingTable, list[dict]]:
@@ -199,7 +178,7 @@ def train(
     An epoch is ``ceil(P / batch_size)`` batches over the corpus's P pairs
     (uint16 or int32 node indices, see ``corpus.index_dtype``). Each batch
     draws its pair indices uniformly, with replacement, from
-    ``substream(cfg.seed, SHUFFLE)``, the last batch only the remainder, so
+    ``substream(cfg.seed, PAIRS)``, the last batch only the remainder, so
     an epoch draws exactly P pairs: a one-epoch run leaves about 1/e of them
     unvisited and visits others more than once, and nothing ``train``
     allocates grows with P. A batch's pair columns join
@@ -232,7 +211,7 @@ def train(
     table = init_embeddings(g, dim, INIT_SCALE, seeding.substream(cfg.seed, seeding.INIT))
     coords = np.ascontiguousarray(table.coords.T)  # feature-major (dim + 1, n_nodes)
     neg_rng = seeding.substream(cfg.seed, seeding.NEGATIVES)
-    pair_rng = seeding.substream(cfg.seed, seeding.SHUFFLE)
+    pair_rng = seeding.substream(cfg.seed, seeding.PAIRS)
     k = cfg.negatives_per_positive
     noise = corpus.noise_table
     pairs = corpus.pairs

@@ -1,36 +1,31 @@
 """Self-guided random walks, all walkers advanced in lock step.
 
-The next-step distribution down-weights node types that are already
-frequent in the walk so far: a neighbor of type t is chosen with
-probability proportional to exp(-N_t) / (#neighbors of type t), where N_t
-counts how often type t appears in the current sequence, the start node
-included. Equivalently: pick a type present in the neighborhood with
-probability ~ exp(-N_t), then a uniform neighbor of that type.
+The next-step law down-weights node types that are already frequent in
+the walk so far: a neighbor of type t is chosen with probability
+exp(-N_t) / (|neighbors of type t| * sum_s exp(-N_s)), the sum over the
+types s present in the neighborhood, where N_t counts how often type t
+appears in the current sequence, the start node included. Equivalently:
+pick a present type with probability ~ exp(-N_t), then a uniform neighbor
+of that type.
 
 :func:`generate_walks` advances every walker one step per loop iteration
 over NumPy arrays: a ``(walkers, T)`` type-count matrix holds each walk's
 N_t, and the graph's ``type_offsets`` table locates the neighbors of each
 (node, type). All draws come from one ``substream(seed, WALKS)``. The
 result is a :class:`Walks`, one ``(W, L)`` int32 matrix padded with -1 that
-reads like a list of walks. :func:`transition_distribution` is the exact
-law, computed one node at a time. On the 28,871-node DBLP-shaped graph
-the walker makes about 3-4M steps/s on one core of a 2-core machine,
-against about 150k for a walker that steps one walk at a time in Python.
+reads like a list of walks. On the 28,871-node DBLP-shaped graph the
+walker makes about 3-4M steps/s on one core of a 2-core machine, against
+about 150k for a walker that steps one walk at a time in Python.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
 from .graph import TypedGraph
-
-
-class DeadEnd(Exception):
-    """The node has no neighbors."""
 
 
 @dataclass
@@ -59,14 +54,6 @@ class Walks:
         self.matrix = matrix
         self.lengths = np.count_nonzero(matrix >= 0, axis=1)
 
-    @classmethod
-    def from_lists(cls, walks) -> Walks:
-        """Pad a sequence of node-index sequences into one matrix."""
-        matrix = np.full((len(walks), max(map(len, walks), default=0)), -1, dtype=np.int32)
-        for row, w in zip(matrix, walks):
-            row[: len(w)] = w
-        return cls(matrix)
-
     def __len__(self) -> int:
         return len(self.matrix)
 
@@ -77,23 +64,9 @@ class Walks:
         return map(self.__getitem__, range(len(self)))
 
     def __deepcopy__(self, memo) -> list[list[int]]:
-        # an editable copy: a list of lists, whose walks may also lose or gain nodes
+        # an editable list of lists, whose walks may lose or gain nodes:
+        # bench/selftest.py corrupts walks so, and tests/test_bench.py runs it
         return [w.tolist() for w in self]
-
-
-def transition_distribution(g: TypedGraph, v: int, type_counts) -> dict[int, float]:
-    """Exact next-step distribution over the neighbors of v."""
-    groups = g.adjacency_groups(v)
-    if not groups:
-        raise DeadEnd(f"node {v} has no neighbors")
-    # weight exp(-N_t) per neighbor type t; counts are shifted by their minimum
-    # over the present types before exponentiation: the shift cancels on
-    # normalization and keeps the weights from underflowing on long walks
-    counts = [int(type_counts[t]) for t, _ in groups]
-    shift = min(counts)
-    weights = [math.exp(-(c - shift)) for c in counts]
-    total = sum(weights)
-    return {int(u): w / (total * arr.size) for (_, arr), w in zip(groups, weights) for u in arr}
 
 
 def step(g: TypedGraph, nodes: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
@@ -103,8 +76,10 @@ def step(g: TypedGraph, nodes: np.ndarray, counts: np.ndarray, rng) -> np.ndarra
     gains the drawn neighbor's type. Each walker reads its T neighbor
     groups off ``g.type_offsets``, an absent type as an empty group, draws a
     type t present at its node with weight exp(-(N_t - min N)), the minimum
-    over present types, then a uniform neighbor of type t: exactly
-    :func:`transition_distribution`.
+    over present types, then a uniform neighbor of type t. The shift by
+    min N cancels on normalization, so a neighbor of type t is drawn with
+    probability exp(-N_t) / (|neighbors of type t| * sum_s exp(-N_s)) over
+    the present types s, and the weights cannot all underflow on long walks.
     """
     # type-major (T, walkers) arrays: the reductions over types run as
     # elementwise operations on whole rows of walkers

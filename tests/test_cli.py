@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, outputs, flag checks, determinism."""
 
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -293,3 +295,24 @@ def test_train_runs_are_byte_identical(graph_files, tmp_path, monkeypatch):
                      "--negatives", "3"]) == 0
         outs.append((out / "embeddings.tsv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_identical_runs_write_identical_files_but_for_wall_time(graph_files, tmp_path, capsys):
+    # criterion 9 compares embeddings.tsv only; this compares every file a
+    # run writes and its stdout, with only the logs' wall_time_s masked
+    nodes, edges = graph_files
+    out = tmp_path / "run"
+    for command in (["train"], ["linkpred", "--edge-type", "A-B"]):
+        runs = []
+        for _ in range(2):
+            assert main([*command, "--nodes", nodes, "--edges", edges, "--out", str(out),
+                         "--dim", "2,3", "--seed", "3", *fast_flags(), "--epochs", "2"]) == 0
+            files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            for name in ("train_log_d2.jsonl", "train_log_d3.jsonl"):
+                files[name], masked = re.subn(rb'"wall_time_s": [^,}]+', b'"wall_time_s": 0',
+                                              files[name])
+                assert masked == 2
+            runs.append((files, capsys.readouterr().out))
+            shutil.rmtree(out)
+        assert {"manifest.json", "embeddings_d2.tsv", "embeddings_d3.tsv"} <= set(runs[0][0])
+        assert runs[0] == runs[1]

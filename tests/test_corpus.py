@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hyperwalk.corpus import AliasTable, SampleCorpus, build_corpus, index_dtype
 from hyperwalk.graph import TypedGraph
 from hyperwalk.synthetic import two_block_graph
-from hyperwalk.walk import WalkConfig, Walks, generate_walks
+from hyperwalk.walk import WalkConfig, generate_walks
+from tests.conftest import walks_of
 
 
 def pair_set(c):
@@ -18,7 +19,7 @@ def pair_set(c):
 
 
 def test_window_pairs_on_a_single_walk():
-    c = build_corpus(Walks.from_lists([[0, 1, 2, 3]]), window=2, n_nodes=4)
+    c = build_corpus(walks_of([[0, 1, 2, 3]]), window=2, n_nodes=4)
     got = {(int(u), int(v)) for u, v in c.pairs}
     want = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
     assert got == want | {(v, u) for u, v in want}
@@ -26,24 +27,24 @@ def test_window_pairs_on_a_single_walk():
 
 
 def test_window_one_keeps_only_adjacent_pairs():
-    c = build_corpus(Walks.from_lists([[0, 1, 2]]), window=1, n_nodes=3)
+    c = build_corpus(walks_of([[0, 1, 2]]), window=1, n_nodes=3)
     got = {(int(u), int(v)) for u, v in c.pairs}
     assert got == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
 
 def test_revisit_self_pairs_are_dropped():
-    c = build_corpus(Walks.from_lists([[0, 1, 0]]), window=2, n_nodes=2)
+    c = build_corpus(walks_of([[0, 1, 0]]), window=2, n_nodes=2)
     assert not any(u == v for u, v in c.pairs)
     assert pair_set(c) == {(0, 1), (1, 0)}
 
 
 def test_multiplicities_are_kept():
-    c = build_corpus(Walks.from_lists([[0, 1], [0, 1]]), window=5, n_nodes=2)
+    c = build_corpus(walks_of([[0, 1], [0, 1]]), window=5, n_nodes=2)
     assert len(c) == 4  # two walks x two directions
 
 
 def test_node_freq_counts_pair_occurrences():
-    c = build_corpus(Walks.from_lists([[0, 1, 2, 3]]), window=2, n_nodes=5)
+    c = build_corpus(walks_of([[0, 1, 2, 3]]), window=2, n_nodes=5)
     assert c.node_freq.tolist() == [int((c.pairs == i).sum()) for i in range(5)]
     assert c.node_freq[4] == 0
 
@@ -51,7 +52,7 @@ def test_node_freq_counts_pair_occurrences():
 def test_build_corpus_rejects_bad_window():
     for window in (0, -1):
         with pytest.raises(ValueError, match="window"):
-            build_corpus(Walks.from_lists([[0, 1, 2]]), window=window, n_nodes=3)
+            build_corpus(walks_of([[0, 1, 2]]), window=window, n_nodes=3)
 
 
 @pytest.mark.parametrize(
@@ -77,7 +78,7 @@ def test_corpus_pairs_take_the_narrowest_width_the_nodes_allow(n_nodes, dtype):
     top = n_nodes - 1  # 65,535 is uint16's largest value; 65,536 needs int32
     want = [[0, top], [top, 0]]
     assert index_dtype(n_nodes) is dtype
-    built = build_corpus(Walks.from_lists([[0, top]]), window=1, n_nodes=n_nodes)
+    built = build_corpus(walks_of([[0, top]]), window=1, n_nodes=n_nodes)
     for c in (SampleCorpus(np.array(want), n_nodes), built):
         assert c.pairs.dtype == dtype
         assert c.pairs.tolist() == want
@@ -87,7 +88,7 @@ def test_corpus_pairs_take_the_narrowest_width_the_nodes_allow(n_nodes, dtype):
 def test_build_corpus_rejects_a_walk_node_past_n_nodes():
     # 65,536 would wrap to node 0 in a uint16 pair array
     with pytest.raises(ValueError, match="walk node 65536 is not a node index"):
-        build_corpus(Walks.from_lists([[0, 65_536]]), window=1, n_nodes=65_536)
+        build_corpus(walks_of([[0, 65_536]]), window=1, n_nodes=65_536)
 
 
 def test_corpus_build_traces_at_most_5_bytes_a_pair():
@@ -167,7 +168,7 @@ def test_alias_table_rejects_bad_weights():
 
 
 def test_empty_corpus_rejects_sampling():
-    c = build_corpus(Walks.from_lists([]), window=5, n_nodes=3)
+    c = build_corpus(walks_of([]), window=5, n_nodes=3)
     assert len(c) == 0 and c.pairs.shape == (0, 2)
     with pytest.raises(ValueError):
         c.noise_table  # all-zero noise weights
@@ -178,7 +179,7 @@ def test_empty_corpus_rejects_sampling():
 def test_corpus_is_symmetric_and_self_free(seed, window):
     rng = np.random.default_rng(seed)
     walk = rng.integers(0, 6, size=int(rng.integers(2, 30))).tolist()
-    c = build_corpus(Walks.from_lists([walk]), window=window, n_nodes=6)
+    c = build_corpus(walks_of([walk]), window=window, n_nodes=6)
     pairs = pair_set(c)
     for u, v in pairs:
         assert u != v
@@ -214,7 +215,7 @@ walk_sets = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), max_s
 @given(walks=walk_sets, window=st.integers(1, 14))
 @settings(max_examples=200, deadline=None)
 def test_build_corpus_matches_the_per_walk_reference(walks, window):
-    c = build_corpus(Walks.from_lists(walks), window=window, n_nodes=5)
+    c = build_corpus(walks_of(walks), window=window, n_nodes=5)
     want = reference_build_corpus(walks, window)
     assert c.pairs.dtype == index_dtype(5) == np.uint16
     assert np.array_equal(c.pairs, want)

@@ -49,15 +49,18 @@ def test_has_edges_matches_the_edge_set(tiny_hetero):
 
 def test_adjacency_groups(tiny_hetero):
     g = tiny_hetero
-    paper, venue = g.node_type("paper").id, g.node_type("venue").id
-    groups = dict(g.adjacency_groups(0))
-    assert list(groups) == [paper]
-    assert [g.node_ids[v] for v in groups[paper]] == ["p0", "p1"]  # edge order
+    n_types = len(g.node_types)
+
+    def group(v, t):
+        """Node v's neighbors of type t, by id."""
+        lo, hi = g.type_offsets[v * n_types + t : v * n_types + t + 2]
+        return [g.node_ids[u] for u in g.adjacency[lo:hi]]
+
+    author, paper, venue = (g.node_type(label).id for label in ("author", "paper", "venue"))
+    assert [group(0, t) for t in (author, paper, venue)] == [[], ["p0", "p1"], []]  # edge order
     # p1: authors a1, a0 and venues v0, v1, in type-id order
-    assert [(t, [g.node_ids[v] for v in a]) for t, a in g.adjacency_groups(3)] == [
-        (g.node_type("author").id, ["a1", "a0"]),
-        (venue, ["v0", "v1"]),
-    ]
+    assert [group(3, t) for t in (author, paper, venue)] == [["a1", "a0"], [], ["v0", "v1"]]
+    assert author < venue and [g.node_ids[u] for u in neighbors(g, 3)] == ["a1", "a0", "v0", "v1"]
 
 
 def test_degrees(tiny_hetero):
@@ -101,10 +104,30 @@ def test_load_graph_rejects_a_repeated_node_id(tmp_path):
         load_graph(nodes, edges)
 
 
+@pytest.mark.parametrize("name, text, lineno, message", [
+    pytest.param("nodes", "a\tA\nb\n", 2, "malformed node line", id="node-one-field"),
+    pytest.param("nodes", "a\tA\tx\nb\tB\n", 1, "malformed node line", id="node-three-fields"),
+    pytest.param("nodes", "a\tA\nb\tB\n  \tB\n", 3, "malformed node line", id="node-blank-id"),
+    pytest.param("nodes", "a\tA\nb\t \n", 2, "malformed node line", id="node-blank-label"),
+    pytest.param("edges", "a\n", 1, "malformed edge line", id="edge-one-field"),
+    pytest.param("edges", "# c\na\tb\tA-B\tx\n", 2, "malformed edge line", id="edge-four-fields"),
+    pytest.param("edges", "a\tb\n \tb\n", 2, "malformed edge line", id="edge-blank-source"),
+    pytest.param("edges", "a\t\t\tA-B\n", 1, "malformed edge line", id="edge-blank-target"),
+    pytest.param("edges", "a\tb\nb\tc\n", 2, "unknown node id 'c'", id="edge-unknown-id"),
+])
+def test_load_graph_names_the_line_at_fault(tmp_path, name, text, lineno, message):
+    files = {"nodes": tmp_path / "nodes.tsv", "edges": tmp_path / "edges.tsv"}
+    files["nodes"].write_text("a\tA\nb\tB\n")
+    files["edges"].write_text("a\tb\n")
+    files[name].write_text(text)
+    with pytest.raises(GraphError) as e:
+        load_graph(files["nodes"], files["edges"])
+    assert str(e.value) == f"{files[name]}:{lineno}: {message}"
+
+
 def test_isolated_node_has_no_neighbors():
     g = TypedGraph([("a", "t"), ("b", "t")], [])
     assert neighbors(g, 0).size == 0
-    assert g.adjacency_groups(0) == []
 
 
 # --- reference builder ----------------------------------------------------
@@ -184,7 +207,6 @@ def fields_of(g: TypedGraph):
         "edge_types": [(t.id, t.endpoint_types, t.label) for t in g.edge_types],
         "duplicate_edges": g.duplicate_edges,
         "self_loops_dropped": g.self_loops_dropped,
-        "groups": [[(t, a.tolist()) for t, a in g.adjacency_groups(v)] for v in range(g.n_nodes)],
     }
 
 
@@ -225,14 +247,9 @@ def test_array_build_matches_the_per_edge_builder(case, data):
     ref, ref_warnings = build(reference_build, nodes, edges)
     g, new_warnings = build(TypedGraph, nodes, edges)
     assert new_warnings == ref_warnings
-    got = fields_of(g)
-    groups, ref_groups = got.pop("groups"), ref.pop("groups")
-    assert got == ref
-    for v, (mine, theirs) in enumerate(zip(groups, ref_groups)):
-        assert [t for t, _ in mine] == sorted(t for t, _ in theirs), f"node {v}: type-id order"
-        assert dict(mine) == dict(theirs), f"node {v}"
-    # the walker reads every (node, type) slice, absent types included, so
-    # their sizes must be 0, which adjacency_groups hides by dropping them
+    ref_groups = ref.pop("groups")
+    assert fields_of(g) == ref
+    # the walker reads every (node, type) slice, absent types included
     n_types, offsets = len(g.node_types), g.type_offsets
     assert offsets.shape == (g.n_nodes * n_types + 1,) and offsets[0] == 0
     assert np.all(np.diff(offsets) >= 0) and offsets[-1] == 2 * g.n_edges

@@ -15,12 +15,17 @@ from hyperwalk.trainer import (
     TrainConfig,
     init_embeddings,
     load_embeddings_for_graph,
-    pair_gradients,
-    pair_loss,
     train,
 )
-from hyperwalk.walk import WalkConfig, Walks, generate_walks
-from tests.conftest import on_manifold, random_point, random_points
+from hyperwalk.walk import WalkConfig, generate_walks
+from tests.conftest import (
+    on_manifold,
+    pair_gradients,
+    pair_loss,
+    random_point,
+    random_points,
+    walks_of,
+)
 
 
 def point_at(direction, length):
@@ -325,7 +330,7 @@ def test_trained_and_far_out_points_load_bit_exactly(trained, tmp_path):
 @pytest.fixture
 def trained(triangle):
     walks = [[0, 1, 2, 0, 1], [1, 2, 0, 1, 2], [2, 0, 1, 2, 0]] * 4
-    corpus = build_corpus(Walks.from_lists(walks), window=2, n_nodes=3)
+    corpus = build_corpus(walks_of(walks), window=2, n_nodes=3)
     cfg = TrainConfig(lr=0.1, batch_size=8, epochs=3, negatives_per_positive=2, seed=0)
     return triangle, corpus, cfg
 
@@ -356,7 +361,7 @@ def test_manifold_drift_stays_small(trained):
 
 
 def test_train_rejects_empty_corpus(triangle):
-    corpus = build_corpus(Walks.from_lists([]), window=2, n_nodes=3)
+    corpus = build_corpus(walks_of([]), window=2, n_nodes=3)
     with pytest.raises(ValueError):
         train(triangle, corpus, TrainConfig(), dim=2)
 
@@ -380,7 +385,7 @@ def test_training_pulls_linked_nodes_together():
 def test_noise_collision_share_counts_draws_equal_to_anchor_or_partner():
     # one edge, two nodes: every noise draw is the anchor or its partner
     g = TypedGraph([("a", "A"), ("b", "B")], [(0, 1)])
-    corpus = build_corpus(Walks.from_lists([[0, 1, 0, 1]]), window=1, n_nodes=2)
+    corpus = build_corpus(walks_of([[0, 1, 0, 1]]), window=1, n_nodes=2)
     cfg = TrainConfig(batch_size=2, epochs=2, negatives_per_positive=3, seed=0)
     _, history = train(g, corpus, cfg, dim=2)
     assert [h["noise_collision_share"] for h in history] == [1.0, 1.0]
@@ -447,7 +452,7 @@ def dense_scatter_train(g, corpus, cfg, dim):
     init = init_embeddings(g, dim, trainer.INIT_SCALE, substream(cfg.seed, seeding.INIT))
     coords = np.ascontiguousarray(init.coords.T)
     neg_rng = substream(cfg.seed, seeding.NEGATIVES)
-    pair_rng = substream(cfg.seed, seeding.SHUFFLE)
+    pair_rng = substream(cfg.seed, seeding.PAIRS)
     k = cfg.negatives_per_positive
     pairs = corpus.pairs
     history = []

@@ -10,16 +10,8 @@ from hypothesis import strategies as st
 
 from hyperwalk.graph import TypedGraph
 from hyperwalk.synthetic import dblp_shaped_graph
-from hyperwalk.walk import (
-    DeadEnd,
-    WalkConfig,
-    Walks,
-    dump_walks,
-    generate_walks,
-    step,
-    transition_distribution,
-)
-from tests.conftest import neighbors
+from hyperwalk.walk import WalkConfig, dump_walks, generate_walks, step
+from tests.conftest import exact_step_law, law_of_step, neighbors, walks_of
 
 
 def start_counts(g, v):
@@ -42,7 +34,7 @@ def test_transition_down_weights_frequent_types():
     counts = start_counts(g, 0)
     counts[g.node_type("A").id] = 2
     counts[g.node_type("B").id] = 1
-    dist = transition_distribution(g, 0, counts)
+    dist = law_of_step(g, 0, counts)
     assert dist[2] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-12)
     assert dist[1] == pytest.approx(math.exp(-1) / (1 + math.exp(-1)), abs=1e-12)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
@@ -51,21 +43,16 @@ def test_transition_down_weights_frequent_types():
 def test_transition_uniform_within_a_type():
     nodes = [("c", "C"), ("a1", "A"), ("a2", "A"), ("b1", "B")]
     g = TypedGraph(nodes, [(0, 1), (0, 2), (0, 3)])
-    dist = transition_distribution(g, 0, start_counts(g, 0))  # A and B tie at 0
+    dist = law_of_step(g, 0, start_counts(g, 0))  # A and B tie at 0
     assert dist[1] == dist[2] == pytest.approx(0.25, abs=1e-12)
     assert dist[3] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_transition_raises_at_dead_end():
-    g = TypedGraph([("a", "t"), ("b", "t")], [])
-    with pytest.raises(DeadEnd):
-        transition_distribution(g, 0, start_counts(g, 0))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_transition_matches_per_neighbor_formula(seed):
-    """Type-first sampling induces exp(-N_t)/|neighbors of type t| per node."""
+    """step's law, read off with a stub rng, gives each neighbor of type t
+    exp(-N_t)/|neighbors of type t|, normalized."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 12))
     labels = ["A", "B", "C"]
@@ -75,16 +62,11 @@ def test_transition_matches_per_neighbor_formula(seed):
     counts = start_counts(g, 0)
     for _ in range(int(rng.integers(0, 20))):
         counts[int(rng.integers(3)) % len(g.node_types)] += 1
-    dist = transition_distribution(g, 0, counts)
-    weights = {}
-    nbrs = neighbors(g, 0)
-    for v in nbrs:
-        t = int(g.node_type_of[v])
-        per_type = nbrs[g.node_type_of[nbrs] == t].size
-        weights[int(v)] = math.exp(-int(counts[t])) / per_type
-    z = sum(weights.values())
-    for v, w in weights.items():
-        assert dist[v] == pytest.approx(w / z, abs=1e-12)
+    dist = law_of_step(g, 0, counts)
+    exact = exact_step_law(g, 0, counts)
+    assert dist.keys() == exact.keys()
+    for v, p in exact.items():
+        assert dist[v] == pytest.approx(p, abs=1e-12)
 
 
 def draw_steps(g, v, counts, n, seed):
@@ -108,7 +90,7 @@ def test_step_empirical_frequencies():
     n = 100_000
     nodes, walkers = draw_steps(g, 0, counts, n, seed=7)
     assert max_abs_z(dict(zip(*np.unique(nodes, return_counts=True))), n,
-                     transition_distribution(g, 0, counts)) <= 3
+                     exact_step_law(g, 0, counts)) <= 3
     # each walker counted the type it stepped to
     assert np.array_equal(walkers - counts, np.eye(len(g.node_types))[g.node_type_of[nodes]])
 
@@ -120,7 +102,7 @@ def test_step_on_a_dblp_paper_node_matches_the_exact_law():
     # a walk that came to the paper from an author: N_A = N_P = 1
     counts = start_counts(g, paper)
     counts[a] = 1
-    dist = transition_distribution(g, paper, counts)
+    dist = exact_step_law(g, paper, counts)
     assert {int(g.node_type_of[u]) for u in dist} == {a, v}
     n = 400_000
     nodes, _ = draw_steps(g, paper, counts, n, seed=8)
@@ -131,10 +113,10 @@ def two_step_law(g, s):
     """Exact probability of each two-step path s -> u -> w: the counts of the
     second step include the start node and u."""
     law = {}
-    for u, p1 in transition_distribution(g, s, start_counts(g, s)).items():
+    for u, p1 in exact_step_law(g, s, start_counts(g, s)).items():
         counts = start_counts(g, s)
         counts[g.node_type_of[u]] += 1
-        for w, p2 in transition_distribution(g, u, counts).items():
+        for w, p2 in exact_step_law(g, u, counts).items():
             law[(u, w)] = p1 * p2
     return law
 
@@ -183,7 +165,7 @@ def test_generate_walks_shape_and_determinism(tiny_hetero):
 
 def test_walks_read_as_a_list_of_walks():
     lists = [[3, 1, 3], [2], [], [0, 1, 2, 3]]
-    walks = Walks.from_lists(lists)
+    walks = walks_of(lists)
     assert walks.matrix.shape == (4, 4) and walks.matrix[1, 1] == -1
     assert len(walks) == 4
     assert [len(w) for w in walks] == [3, 1, 0, 4]
@@ -192,7 +174,7 @@ def test_walks_read_as_a_list_of_walks():
     edited = copy.deepcopy(walks)
     del edited[0][-1]
     assert edited[0] == [3, 1] and walks[0].tolist() == [3, 1, 3]
-    assert len(Walks.from_lists([])) == 0
+    assert len(walks_of([])) == 0
 
 
 def test_walk_config_validation():
