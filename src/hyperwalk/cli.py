@@ -59,13 +59,9 @@ def _add_pipeline(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", default="10", help="dimension or comma list, e.g. 2,5,10")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
-
-
 def _dims(args) -> list[int]:
     """--dim: one dimension or a comma list, each >= 2 and none repeated."""
-    dims = _int_list(args.dim)
+    dims = [int(x) for x in args.dim.split(",") if x]
     if not dims:
         raise ValueError(f"--dim {args.dim!r} lists no dimension")
     if min(dims) < 2:
@@ -79,17 +75,22 @@ def _dims(args) -> list[int]:
 def _write_manifest(args, command: str) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items()}
-    resolved.pop("func", None)
     manifest = {
         "command": command,
-        "config": resolved,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "version": __version__,
         "deterministic": True,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     return out
+
+
+def _report(out: Path, name: str, report) -> None:
+    """Write a report to out/name as indented JSON and print it."""
+    text = json.dumps(report, indent=2)
+    (out / name).write_text(text, encoding="utf-8")
+    print(text)
 
 
 def _pipeline_configs(args):
@@ -124,24 +125,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    declared = None if args.dims is None else _int_list(args.dims)
-    if declared is not None and len(declared) != len(args.embeddings):
-        raise ValueError(
-            f"--dims lists {len(declared)} dimensions for {len(args.embeddings)} --embeddings files"
-        )
     g = load_graph(args.nodes, args.edges)
     edge_types = [args.edge_type] if args.edge_type else [t.label for t in g.edge_types]
     tables = [load_embeddings_for_graph(path, g) for path in args.embeddings]
-    for i, (path, emb) in enumerate(zip(args.embeddings, tables)):
-        if declared is not None and emb.dim != declared[i]:
-            raise ValueError(f"{path}: embedding dimension {emb.dim} != declared {declared[i]}")
     rng = seeding.substream(args.seed, seeding.NONEDGES)
     reports = [asdict(reconstruct(g, emb, et, max_neg=args.max_neg, rng=rng))
                for emb in tables for et in edge_types]
     out = _write_manifest(args, "reconstruct")
-    with open(out / "reconstruction.json", "w", encoding="utf-8") as f:
-        json.dump(reports, f, indent=2)
-    print(json.dumps(reports, indent=2))
+    _report(out, "reconstruction.json", reports)
     return 0
 
 
@@ -162,9 +153,7 @@ def cmd_linkpred(args) -> int:
     save_link_split(split, out / "split", g)
     for table, history in trained:
         _save_table(out, dims, tg, table, history)
-    with open(out / "link_prediction.json", "w", encoding="utf-8") as f:
-        json.dump(reports, f, indent=2)
-    print(json.dumps(reports, indent=2))
+    _report(out, "link_prediction.json", reports)
     return 0
 
 
@@ -178,9 +167,7 @@ def cmd_project(args) -> int:
     out = _write_manifest(args, "project")
     export_projection(emb, out / "projection.tsv", g)
     if report is not None:
-        with open(out / "regions.json", "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2)
-        print(json.dumps(report, indent=2))
+        _report(out, "regions.json", report)
     return 0
 
 
@@ -203,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embeddings", action="append", required=True, help="embedding TSV (repeatable)")
-    p.add_argument("--dims", default=None, help="declared dimension per embeddings file")
     p.add_argument("--edge-type", default=None)
     p.add_argument("--max-neg", type=int, default=DEFAULT_MAX_NEG)
     p.set_defaults(func=cmd_reconstruct)
@@ -233,7 +219,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except Exception as exc:  # pragma: no cover - defensive catch-all
+    except Exception as exc:  # any runtime failure: report it, exit 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

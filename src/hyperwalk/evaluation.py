@@ -359,8 +359,4 @@ def export_projection(emb: EmbeddingTable, out, g: TypedGraph) -> None:
         coords = lorentz.normalize(coords[:, [0, 1, -1]])
     p = lorentz.to_poincare(coords)
     radius = np.asarray(lorentz.hyperbolic_distance(lorentz.origin(2), coords))
-    with open(out, "w", encoding="utf-8") as f:
-        for v in range(emb.n_nodes):
-            label = g.node_types[g.node_type_of[v]].label
-            row = "\t".join(repr(float(x)) for x in (p[v, 0], p[v, 1], radius[v]))
-            f.write(f"{g.node_ids[v]}\t{label}\t{row}\n")
+    g.save_nodes(out, np.column_stack([p, radius]))

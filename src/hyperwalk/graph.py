@@ -168,10 +168,21 @@ class TypedGraph:
         i = np.minimum(np.searchsorted(self._edge_codes, codes), self._edge_codes.size - 1)
         return self._edge_codes[i] == codes
 
+    def save_nodes(self, path, values=None) -> None:
+        """One ``node_id<TAB>type_label[<TAB>value...]`` row per node, in index order.
+
+        ``values`` is None or an (n_nodes, k) array whose row v follows node v's
+        label. Each value is written as ``repr(float(x))``, the shortest decimal
+        that reads back bit-exactly.
+        """
+        labels = [t.label for t in self.node_types]
+        with open(path, "w", encoding="utf-8") as f:
+            for v, (node_id, t) in enumerate(zip(self.node_ids, self.node_type_of.tolist())):
+                row = [] if values is None else [repr(float(x)) for x in values[v]]
+                f.write("\t".join([node_id, labels[t], *row]) + "\n")
+
     def save(self, nodes_file, edges_file) -> None:
-        with open(nodes_file, "w", encoding="utf-8") as f:
-            for node_id, t in zip(self.node_ids, self.node_type_of):
-                f.write(f"{node_id}\t{self.node_types[t].label}\n")
+        self.save_nodes(nodes_file)
         with open(edges_file, "w", encoding="utf-8") as f:
             for (u, v), t in zip(self.edges, self.edge_type_of):
                 f.write(

@@ -66,41 +66,55 @@ class EmbeddingTable:
         return self.coords.shape[0]
 
     def save_tsv(self, path, g: TypedGraph) -> None:
-        """``node_id<TAB>type_label<TAB>x_1<TAB>...<TAB>x_{d+1}``.
+        """``node_id<TAB>type_label<TAB>x_1<TAB>...<TAB>x_{d+1}``, one row per node.
 
-        Coordinates use shortest round-trip decimals, so a reload is
-        bit-exact.
+        Written by :meth:`TypedGraph.save_nodes`: coordinates use shortest
+        round-trip decimals, so a reload is bit-exact.
         """
-        with open(path, "w", encoding="utf-8") as f:
-            for v in range(self.n_nodes):
-                label = g.node_types[g.node_type_of[v]].label
-                coords = "\t".join(repr(float(c)) for c in self.coords[v])
-                f.write(f"{g.node_ids[v]}\t{label}\t{coords}\n")
+        g.save_nodes(path, self.coords)
 
 
 def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
     """Load a :meth:`EmbeddingTable.save_tsv` file, its rows reordered to g's node indexing.
 
-    Blank lines and lines starting with ``#`` are skipped, as in graph files.
+    Rows are read by :func:`graph.load_graph`'s rule for node files: blank lines
+    and lines starting with ``#`` are skipped and fields are read stripped.
     GraphError naming ``path:line`` is raised for a row whose field count
-    differs from the first row's, a coordinate that is not a number or not
-    finite, a point off the hyperboloid (time coordinate not within a relative
-    1e-9 of sqrt(1 + |spatial|^2)) or a type label other than g's for that
-    node. The file must name each node of g exactly once; otherwise ValueError.
+    differs from the first row's, an id not in g or seen on an earlier row, a
+    type label other than g's for that node, a coordinate that is not a
+    number or not finite, or a point off the hyperboloid (time coordinate not
+    within a relative 1e-9 of sqrt(1 + |spatial|^2)). A file that leaves a
+    node of g without a row raises GraphError naming the file.
     """
-    ids, labels, rows, linenos = [], [], [], []
+    labels = [g.node_types[t].label for t in g.node_type_of.tolist()]
+    seen = np.zeros(g.n_nodes, dtype=bool)
+    order, rows, linenos = [], [], []
     width = None
     for lineno, fields in _parse_tsv(path):
         width = width or len(fields)  # the first row's
         if len(fields) != width:
             raise GraphError(f"{path}:{lineno}: {len(fields)} fields, the first row has {width}")
+        node_id, label = fields[0].strip(), fields[1].strip() if width > 1 else ""
+        try:
+            v = g.node_index(node_id)
+        except GraphError as exc:
+            raise GraphError(f"{path}:{lineno}: {exc}") from None
+        if seen[v]:
+            raise GraphError(f"{path}:{lineno}: repeated node id {node_id!r}")
+        seen[v] = True
+        if label != labels[v]:
+            raise GraphError(f"{path}:{lineno}: node {node_id!r} is of type "
+                             f"{labels[v]!r} in the graph, not {label!r}")
         try:
             rows.append([float(x) for x in fields[2:]])
         except ValueError:
             raise GraphError(f"{path}:{lineno}: a coordinate is not a number") from None
-        ids.append(fields[0])
-        labels.append(fields[1])
+        order.append(v)
         linenos.append(lineno)
+    if not seen.all():
+        missing = np.flatnonzero(~seen)
+        raise GraphError(f"{path}: {missing.size} of the graph's {g.n_nodes} nodes have no row, "
+                         f"the first {g.node_ids[missing[0]]!r}")
     table = EmbeddingTable(np.asarray(rows))
     bad = np.flatnonzero(~np.isfinite(table.coords).all(axis=1))
     if bad.size:
@@ -110,18 +124,6 @@ def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
     bad = np.flatnonzero(np.abs(table.coords[:, -1] - time) > 1e-9 * time)
     if bad.size:
         raise GraphError(f"{path}:{linenos[bad[0]]}: the point is not on the hyperboloid")
-    distinct = set(ids)
-    if len(ids) != g.n_nodes or distinct != set(g.node_ids):
-        raise ValueError(
-            f"{path} must hold one row for each of the graph's {g.n_nodes} nodes; it has "
-            f"{len(ids)} rows naming {len(distinct)} distinct ids, "
-            f"{len(distinct.difference(g.node_ids))} of them not in the graph"
-        )
-    order = np.asarray([g.node_index(i) for i in ids])
-    for lineno, node_id, label, t in zip(linenos, ids, labels, g.node_type_of[order].tolist()):
-        if label != g.node_types[t].label:
-            raise GraphError(f"{path}:{lineno}: node {node_id!r} is of type "
-                             f"{g.node_types[t].label!r} in the graph, not {label!r}")
     coords = np.empty_like(table.coords)
     coords[order] = table.coords
     return EmbeddingTable(coords)

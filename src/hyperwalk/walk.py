@@ -13,9 +13,10 @@ over NumPy arrays: a ``(walkers, T)`` type-count matrix holds each walk's
 N_t, and the graph's ``type_offsets`` table locates the neighbors of each
 (node, type). All draws come from one ``substream(seed, WALKS)``. The
 result is a :class:`Walks`, one ``(W, L)`` int32 matrix padded with -1 that
-reads like a list of walks. On the 28,871-node DBLP-shaped graph the
-walker makes about 3-4M steps/s on one core of a 2-core machine, against
-about 150k for a walker that steps one walk at a time in Python.
+reads like a list of walks. On the 28,871-node DBLP-shaped graph (1x40
+walks) the walker makes about 4.5-5.5M steps/s on one core of a 2-core
+machine, against about 150k for a walker that steps one walk at a time in
+Python.
 """
 
 from __future__ import annotations

@@ -387,8 +387,7 @@ def test_criterion_08_table_layout(tmp_path):
     rc = cli_main(["reconstruct", "--nodes", str(nodes_tsv), "--edges", str(edges_tsv),
                    "--out", str(tmp_path / "rec"),
                    "--embeddings", str(run / "embeddings_d2.tsv"),
-                   "--embeddings", str(run / "embeddings_d5.tsv"),
-                   "--dims", "2,5"])
+                   "--embeddings", str(run / "embeddings_d5.tsv")])
     assert rc == 0
     import json
 

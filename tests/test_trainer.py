@@ -8,7 +8,7 @@ import pytest
 
 from hyperwalk import lorentz, seeding, trainer
 from hyperwalk.corpus import AliasTable, build_corpus
-from hyperwalk.graph import GraphError, TypedGraph
+from hyperwalk.graph import GraphError, TypedGraph, load_graph
 from hyperwalk.seeding import substream
 from hyperwalk.synthetic import two_block_graph
 from hyperwalk.trainer import (
@@ -269,6 +269,44 @@ def test_short_embedding_file_is_rejected(tiny_hetero, tmp_path):
     emb.save_tsv(path, tiny_hetero)
     path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")  # drops a0
     with pytest.raises(ValueError, match="emb.tsv"):
+        load_embeddings_for_graph(path, tiny_hetero)
+
+
+def test_padded_fields_load_from_node_and_embedding_files_alike(tmp_path):
+    g = TypedGraph([("a0", "A"), ("b0", "B")], [(0, 1)])
+    table = init_embeddings(g, 2, 0.5, np.random.default_rng(0))
+    nodes, edges, path = tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "emb.tsv"
+    table.save_tsv(path, g)
+    rows = path.read_text().splitlines()
+    nodes.write_text(" a0 \tA \n b0\t B\n")
+    path.write_text(" a0 \tA \t" + rows[0].split("\t", 2)[2] + "\n b0\t B\t"
+                    + rows[1].split("\t", 2)[2] + "\n")
+    edges.write_text("a0\tb0\n")
+    loaded = load_graph(nodes, edges)
+    assert loaded.node_ids == ["a0", "b0"]
+    np.testing.assert_array_equal(load_embeddings_for_graph(path, loaded).coords, table.coords)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("x9\tauthor", "emb.tsv:3: unknown node id 'x9'"),
+     ("a0\tauthor", "emb.tsv:3: repeated node id 'a0'")],
+)
+def test_unknown_or_repeated_embedding_id_names_its_line(tiny_hetero, tmp_path, row, message):
+    emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
+    path = tmp_path / "emb.tsv"
+    emb.save_tsv(path, tiny_hetero)
+    lines = path.read_text().splitlines()
+    lines[1:2] = ["", row + "\t" + lines[1].split("\t", 2)[2]]  # a blank line 2, the row on line 3
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphError, match=message):
+        load_embeddings_for_graph(path, tiny_hetero)
+
+
+def test_embedding_file_of_bare_ids_names_its_first_line(tiny_hetero, tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("a0\na1\n")  # no label and no coordinates
+    with pytest.raises(GraphError, match="emb.tsv:1: node 'a0' is of type 'author' in the graph, not ''"):
         load_embeddings_for_graph(path, tiny_hetero)
 
 
