@@ -9,9 +9,14 @@ so a failed run leaves no --out; --dump-walks is written once walks exist.
 
 A runtime failure prints ``error: <ExceptionType>: <message>`` to stderr.
 
+This module lays out --out: it writes what the library returns, node and pair
+rows through ``TypedGraph.save_nodes``/``save_pairs``, JSON files through ``_write_json``.
+
 ``linkpred`` makes its split from --edge-type, --fraction and --seed on
 every run and writes it to ``<out>/split/`` as output. A sweep over one
-flag is a shell loop over ``linkpred``.
+flag is a shell loop over ``linkpred``. ``reconstruct`` draws each table's
+sampled non-edges from a fresh --seed substream, so every table is scored
+on the same pairs.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -31,10 +36,9 @@ from .evaluation import (
     DEFAULT_MAX_NEG,
     link_prediction_eval,
     make_link_split,
+    poincare_projection,
     reconstruct,
     region_stats,
-    export_projection,
-    save_link_split,
 )
 from .graph import load_graph
 from .trainer import TrainConfig, load_embeddings_for_graph, train
@@ -72,25 +76,20 @@ def _dims(args) -> list[int]:
     return dims
 
 
+def _write_json(path: Path, obj) -> str:
+    """Write obj to path as indented, strict JSON (no NaN or Infinity); returns the text."""
+    text = json.dumps(obj, indent=2, allow_nan=False)
+    path.write_text(text, encoding="utf-8")
+    return text
+
+
 def _write_manifest(args, command: str) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": command,
-        "config": {k: v for k, v in vars(args).items() if k != "func"},
-        "version": __version__,
-        "deterministic": True,
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    config = dict(sorted((k, v) for k, v in vars(args).items() if k != "func"))
+    manifest = {"command": command, "config": config, "deterministic": True, "version": __version__}
+    _write_json(out / "manifest.json", manifest)
     return out
-
-
-def _report(out: Path, name: str, report) -> None:
-    """Write a report to out/name as indented JSON and print it."""
-    text = json.dumps(report, indent=2)
-    (out / name).write_text(text, encoding="utf-8")
-    print(text)
 
 
 def _pipeline_configs(args):
@@ -103,7 +102,7 @@ def _pipeline_configs(args):
 def _save_table(out: Path, dims, g, table, history) -> None:
     """embeddings{suffix}.tsv and train_log{suffix}.jsonl; suffix _d<dim> if --dim lists several."""
     suffix = "" if len(dims) == 1 else f"_d{table.dim}"
-    table.save_tsv(out / f"embeddings{suffix}.tsv", g)
+    g.save_nodes(out / f"embeddings{suffix}.tsv", table.coords)
     with open(out / f"train_log{suffix}.jsonl", "w", encoding="utf-8") as f:
         for h in history:
             f.write(json.dumps(h) + "\n")
@@ -128,11 +127,12 @@ def cmd_reconstruct(args) -> int:
     g = load_graph(args.nodes, args.edges)
     edge_types = [args.edge_type] if args.edge_type else [t.label for t in g.edge_types]
     tables = [load_embeddings_for_graph(path, g) for path in args.embeddings]
-    rng = seeding.substream(args.seed, seeding.NONEDGES)
+    # a fresh substream per table, so every table is scored on the same non-edges
+    rngs = [seeding.substream(args.seed, seeding.NONEDGES) for _ in tables]
     reports = [asdict(reconstruct(g, emb, et, max_neg=args.max_neg, rng=rng))
-               for emb in tables for et in edge_types]
+               for emb, rng in zip(tables, rngs) for et in edge_types]
     out = _write_manifest(args, "reconstruct")
-    _report(out, "reconstruction.json", reports)
+    print(_write_json(out / "reconstruction.json", reports))
     return 0
 
 
@@ -150,10 +150,16 @@ def cmd_linkpred(args) -> int:
     trained = [train(tg, corpus, tcfg, d) for d in dims]
     reports = [asdict(link_prediction_eval(split, table)) for table, _ in trained]
     out = _write_manifest(args, "linkpred")
-    save_link_split(split, out / "split", g)
+    split_dir = out / "split"  # tg keeps g's node ids in g's order, so it names the split's pairs
+    split_dir.mkdir(exist_ok=True)
+    tg.save(split_dir / "train_nodes.tsv", split_dir / "train_edges.tsv")
+    tg.save_pairs(split_dir / "removed_edges.tsv", split.removed_edges)
+    tg.save_pairs(split_dir / "non_edges.tsv", split.sampled_non_edges)
+    meta = {"edge_type": split.edge_type, "fraction": split.fraction, "warning": split.warning}
+    _write_json(split_dir / "split.json", meta)
     for table, history in trained:
         _save_table(out, dims, tg, table, history)
-    _report(out, "link_prediction.json", reports)
+    print(_write_json(out / "link_prediction.json", reports))
     return 0
 
 
@@ -165,9 +171,9 @@ def cmd_project(args) -> int:
         boundaries = [float(x) for x in str(args.boundaries).split(",") if x]
         report = asdict(region_stats(g, emb, args.region_type, boundaries))
     out = _write_manifest(args, "project")
-    export_projection(emb, out / "projection.tsv", g)
+    g.save_nodes(out / "projection.tsv", poincare_projection(emb))
     if report is not None:
-        _report(out, "regions.json", report)
+        print(_write_json(out / "regions.json", report))
     return 0
 
 

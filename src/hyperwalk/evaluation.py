@@ -8,13 +8,13 @@ Every step whose size grows with the number of scored pairs (up to
 memory is the pair and score arrays plus O(BLOCK) temporaries. Sampled and
 enumerated non-edges are node indices at the corpus's width,
 ``corpus.index_dtype``. AUC sorts the negative scores once and counts.
+
+Nothing here reads or writes a file: the CLI writes what these functions return.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -281,22 +281,6 @@ def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSp
     )
 
 
-def save_link_split(split: LinkSplit, out_dir, g: TypedGraph) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    split.train_graph.save(out / "train_nodes.tsv", out / "train_edges.tsv")
-    for name, pairs in (
-        ("removed_edges.tsv", split.removed_edges),
-        ("non_edges.tsv", split.sampled_non_edges),
-    ):
-        with open(out / name, "w", encoding="utf-8") as f:
-            for u, v in pairs:
-                f.write(f"{g.node_ids[u]}\t{g.node_ids[v]}\n")
-    with open(out / "split.json", "w", encoding="utf-8") as f:
-        meta = {"edge_type": split.edge_type, "fraction": split.fraction, "warning": split.warning}
-        json.dump(meta, f, indent=2)
-
-
 def link_prediction_eval(split: LinkSplit, emb: EmbeddingTable) -> AucReport:
     """AUC over removed edges vs the split's sampled non-edges."""
     if len(split.removed_edges) == 0:
@@ -309,7 +293,7 @@ def link_prediction_eval(split: LinkSplit, emb: EmbeddingTable) -> AucReport:
 class RegionBand:
     upper_bound: float | None  # None marks the overflow bucket
     count: int
-    mean_degree: float
+    mean_degree: float | None  # None for an empty band
 
 
 @dataclass
@@ -329,11 +313,14 @@ def region_stats(
     hyperbolic distance to the origin, arccosh of its time coordinate: the
     same radius as on the projected Poincare ball, without the ball's loss
     of precision as |p| -> 1. Nodes beyond the last boundary land in an
-    overflow bucket. Boundaries must be a non-empty, strictly increasing list.
+    overflow bucket. Boundaries must be a non-empty, strictly increasing list
+    of finite numbers.
     """
     bounds = [float(b) for b in boundaries]
-    if not bounds or not all(a < b for a, b in zip(bounds, bounds[1:])):
-        raise ValueError(f"boundaries must be non-empty and strictly increasing, got {bounds}")
+    increasing = all(a < b for a, b in zip(bounds, bounds[1:]))
+    if not bounds or not increasing or not np.isfinite(bounds).all():
+        raise ValueError(f"boundaries must be non-empty and strictly increasing finite numbers, "
+                         f"got {bounds}")
     nt = g.node_type(t)
     nodes = g.nodes_of_type(nt)
     radius = np.asarray(lorentz.hyperbolic_distance(lorentz.origin(emb.dim), emb.coords[nodes]))
@@ -343,12 +330,12 @@ def region_stats(
     for i, ub in enumerate([*bounds, None]):  # band len(bounds) is the overflow bucket
         mask = band == i
         n = int(mask.sum())
-        bands.append(RegionBand(ub, n, float(degrees[mask].mean()) if n else float("nan")))
+        bands.append(RegionBand(ub, n, float(degrees[mask].mean()) if n else None))
     return RegionReport(nt.label, bounds, regions=bands[:-1], overflow=bands[-1])
 
 
-def export_projection(emb: EmbeddingTable, out, g: TypedGraph) -> None:
-    """Poincare-disk projection TSV: node_id, type, p_1, p_2, radius.
+def poincare_projection(emb: EmbeddingTable) -> np.ndarray:
+    """(n_nodes, 3) rows of p_1, p_2 on the Poincare disk and the radius.
 
     For dim > 2, the point is restricted to its first two spatial
     coordinates (time coordinate recomputed) before projecting. The radius
@@ -359,4 +346,4 @@ def export_projection(emb: EmbeddingTable, out, g: TypedGraph) -> None:
         coords = lorentz.normalize(coords[:, [0, 1, -1]])
     p = lorentz.to_poincare(coords)
     radius = np.asarray(lorentz.hyperbolic_distance(lorentz.origin(2), coords))
-    g.save_nodes(out, np.column_stack([p, radius]))
+    return np.column_stack([p, radius])

@@ -9,6 +9,10 @@ externally and dense integers internally.
 in edge order within a group. With T node types, node v's neighbors of type t are
 ``adjacency[type_offsets[v * T + t]:type_offsets[v * T + t + 1]]``, an empty slice
 when v has none; ``type_offsets`` has ``n_nodes * T + 1`` entries.
+
+``TypedGraph.save_nodes`` writes every node row the package writes (node
+files, embedding tables, projections), and ``TypedGraph.save_pairs`` every
+pair row (edge files, held-out edges, sampled non-edges).
 """
 
 from __future__ import annotations
@@ -181,13 +185,18 @@ class TypedGraph:
                 row = [] if values is None else [repr(float(x)) for x in values[v]]
                 f.write("\t".join([node_id, labels[t], *row]) + "\n")
 
+    def save_pairs(self, path, pairs, labels=None) -> None:
+        """One ``src_id<TAB>dst_id[<TAB>label]`` row per row of the (k, 2) node
+        indices ``pairs``, in order; ``labels`` is None or k strings."""
+        tails = [""] * len(pairs) if labels is None else ["\t" + s for s in labels]
+        with open(path, "w", encoding="utf-8") as f:
+            for (u, v), tail in zip(np.asarray(pairs).tolist(), tails):
+                f.write(f"{self.node_ids[u]}\t{self.node_ids[v]}{tail}\n")
+
     def save(self, nodes_file, edges_file) -> None:
         self.save_nodes(nodes_file)
-        with open(edges_file, "w", encoding="utf-8") as f:
-            for (u, v), t in zip(self.edges, self.edge_type_of):
-                f.write(
-                    f"{self.node_ids[u]}\t{self.node_ids[v]}\t{self.edge_types[t].label}\n"
-                )
+        labels = [t.label for t in self.edge_types]
+        self.save_pairs(edges_file, self.edges, [labels[t] for t in self.edge_type_of.tolist()])
 
 
 def _find_type(types: list, cls: type, kind: str, label_or_id):

@@ -43,6 +43,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if min(self.lr, self.batch_size, self.negatives_per_positive) <= 0:
             raise ValueError("lr, batch_size, negatives must be positive")
         if self.epochs < 0:
@@ -65,17 +67,9 @@ class EmbeddingTable:
     def n_nodes(self) -> int:
         return self.coords.shape[0]
 
-    def save_tsv(self, path, g: TypedGraph) -> None:
-        """``node_id<TAB>type_label<TAB>x_1<TAB>...<TAB>x_{d+1}``, one row per node.
-
-        Written by :meth:`TypedGraph.save_nodes`: coordinates use shortest
-        round-trip decimals, so a reload is bit-exact.
-        """
-        g.save_nodes(path, self.coords)
-
 
 def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
-    """Load a :meth:`EmbeddingTable.save_tsv` file, its rows reordered to g's node indexing.
+    """Load a ``g.save_nodes(path, table.coords)`` file, its rows reordered to g's node indexing.
 
     Rows are read by :func:`graph.load_graph`'s rule for node files: blank lines
     and lines starting with ``#`` are skipped and fields are read stripped.
@@ -152,9 +146,8 @@ def _pair_terms(U: np.ndarray, W: np.ndarray):
 
     Feature-major: U is (n+1, B) anchors and W is (n+1, B, K) candidates with
     the positive partner first, so each coordinate's values sit in one
-    contiguous block. Returns per-pair losses (B,), softmax weights (B, K)
-    and Minkowski-raised ambient gradients for the anchors (n+1, B) and the
-    candidates (n+1, B, K).
+    contiguous block. Returns per-pair losses (B,) and Minkowski-raised
+    ambient gradients for the anchors (n+1, B) and the candidates (n+1, B, K).
     """
     inner = np.einsum("db,dbk->bk", U[:-1], W[:-1]) - U[-1][:, None] * W[-1]
     a = np.clip(-inner, 1.0, None)
@@ -169,7 +162,7 @@ def _pair_terms(U: np.ndarray, W: np.ndarray):
     c = coeff * _sq_dist_grad_factor(d)
     grad_u = -np.einsum("bk,dbk->db", c, W)
     grad_w = -c * U[:, :, None]
-    return loss, p, grad_u, grad_w
+    return loss, grad_u, grad_w
 
 
 def train(
@@ -237,7 +230,7 @@ def train(
             w_idx = np.concatenate([v_idx[:, None], negs], axis=1)
             U = np.take(coords, u_idx, axis=1)
             W = np.take(coords, w_idx, axis=1)
-            loss, _, grad_u, grad_w = _pair_terms(U, W)
+            loss, grad_u, grad_w = _pair_terms(U, W)
             batch_loss = float(loss.sum())
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(

@@ -137,7 +137,7 @@ def law_of_step(g: TypedGraph, v: int, counts) -> dict[int, float]:
 def pair_loss(e_u, e_v, negs=()) -> float:
     """The training loss of the pair (u, v) against the negatives negs."""
     W = np.stack([e_v, *negs]).astype(np.float64)  # the positive partner first
-    loss, _, _, _ = _pair_terms(np.asarray(e_u, dtype=np.float64)[:, None], W.T[:, None, :])
+    loss, _, _ = _pair_terms(np.asarray(e_u, dtype=np.float64)[:, None], W.T[:, None, :])
     return float(loss[0])
 
 
@@ -145,7 +145,7 @@ def pair_gradients(e_u, e_v, negs=()):
     """Tangent-space gradients of :func:`pair_loss` for u, v and each negative."""
     e_u = np.asarray(e_u, dtype=np.float64)
     W = np.stack([e_v, *negs]).astype(np.float64)
-    _, _, grad_u, grad_w = _pair_terms(e_u[:, None], W.T[:, None, :])
+    _, grad_u, grad_w = _pair_terms(e_u[:, None], W.T[:, None, :])
     gu = lorentz.project_to_tangent(e_u, grad_u[:, 0])
     gw = lorentz.project_to_tangent(W, grad_w[:, 0].T)
     return gu, gw[0], list(gw[1:])

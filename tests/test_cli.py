@@ -166,6 +166,34 @@ def test_linkpred_writes_the_train_log_that_train_writes(graph_files, tmp_path):
     assert [set(r) for r in logs["linkpred"]] == [set(r) for r in logs["train"]]
 
 
+def test_split_roundtrip(tmp_path):
+    # a cycle: one X-X edge is removable, so the split falls short and warns
+    g = TypedGraph([(f"c{i}", "X") for i in range(12)], [(i, (i + 1) % 12) for i in range(12)])
+    nodes, edges, out = tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "lp"
+    g.save(nodes, edges)
+    assert main(["linkpred", "--nodes", str(nodes), "--edges", str(edges), "--out", str(out),
+                 "--edge-type", "X-X", "--fraction", "0.25", "--seed", "4", "--dim", "2",
+                 *fast_flags()]) == 0
+    split = make_link_split(g, "X-X", 0.25, rng=seeding.substream(4, seeding.SPLITS))
+    assert split.warning is not None
+    out = out / "split"
+
+    def rows(pairs):
+        return [f"{g.node_ids[u]}\t{g.node_ids[v]}" for u, v in pairs]
+
+    assert (out / "removed_edges.tsv").read_text().splitlines() == rows(split.removed_edges)
+    assert (out / "non_edges.tsv").read_text().splitlines() == rows(split.sampled_non_edges)
+    assert (out / "train_nodes.tsv").read_text().splitlines() == [
+        f"{nid}\tX" for nid in g.node_ids
+    ]
+    assert (out / "train_edges.tsv").read_text().splitlines() == [
+        f"{r}\tX-X" for r in rows(split.train_graph.edges)
+    ]
+    assert json.loads((out / "split.json").read_text()) == {
+        "edge_type": "X-X", "fraction": 0.25, "warning": split.warning
+    }
+
+
 def test_linkpred_split_follows_the_seed(tmp_path):
     g = two_block_graph(np.random.default_rng(0), sizes=(30, 6, 30))
 
@@ -184,6 +212,38 @@ def test_linkpred_split_follows_the_seed(tmp_path):
 
     linkpred(tmp_path / "shared", "0")
     assert linkpred(tmp_path / "shared", "7") == linkpred(tmp_path / "fresh", "7")
+
+
+def test_reconstruct_scores_every_table_on_the_same_non_edges(tmp_path):
+    g = two_block_graph(np.random.default_rng(0), sizes=(60, 8, 60))
+    nodes, edges, emb = tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "emb.tsv"
+    g.save(nodes, edges)
+    g.save_nodes(emb, init_embeddings(g, 2, 1.0, np.random.default_rng(0)).coords)
+    out = tmp_path / "r"
+    assert main(["reconstruct", "--nodes", str(nodes), "--edges", str(edges), "--out", str(out),
+                 "--embeddings", str(emb), "--embeddings", str(emb), "--edge-type", "A-B",
+                 "--max-neg", "50"]) == 0
+    first, second = json.loads((out / "reconstruction.json").read_text())
+    assert first["negatives_sampled"] is True
+    assert first == second
+
+
+def test_regions_json_is_strict_json_with_an_empty_band(graph_files, tmp_path):
+    nodes, edges = graph_files
+    g = load_graph(nodes, edges)
+    emb = tmp_path / "emb.tsv"
+    g.save_nodes(emb, init_embeddings(g, 2, 1.0, np.random.default_rng(0)).coords)
+    out = tmp_path / "p"
+    assert main(["project", "--nodes", nodes, "--edges", edges, "--out", str(out),
+                 "--embeddings", str(emb), "--region-type", "A",
+                 "--boundaries", "0.01,0.02,50"]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"regions.json holds {name}")
+
+    regions = json.loads((out / "regions.json").read_text(), parse_constant=no_constants)
+    empty = [b for b in [*regions["regions"], regions["overflow"]] if b["count"] == 0]
+    assert empty and all(b["mean_degree"] is None for b in empty)
 
 
 def test_project_exports_disk_coordinates(graph_files, tmp_path):
@@ -234,13 +294,15 @@ def test_project_exports_disk_coordinates(graph_files, tmp_path):
         (["train", "--dump-walks", "NODIR"], "FileNotFoundError: [Errno 2] No such file or directory"),
         (["reconstruct", "--embeddings", "EMB", "--embeddings", "NANEMB"],
          "GraphError: NANEMB:3: a coordinate is not finite"),
+        (["train", "--lr", "nan"], "ValueError: lr must be finite, got nan"),
+        (["linkpred", "--edge-type", "A-B", "--lr", "inf"], "ValueError: lr must be finite, got inf"),
     ],
 )
 def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, message):
     nodes, edges = graph_files
     out = tmp_path / "o"
     g, emb = load_graph(nodes, edges), tmp_path / "emb.tsv"
-    init_embeddings(g, 2, 1.0, np.random.default_rng(0)).save_tsv(emb, g)
+    g.save_nodes(emb, init_embeddings(g, 2, 1.0, np.random.default_rng(0)).coords)
     nan_emb = tmp_path / "nan_emb.tsv"  # a valid table but for one nan on line 3
     rows = emb.read_text().splitlines()
     rows[2] = rows[2].rsplit("\t", 1)[0] + "\tnan"
@@ -265,7 +327,7 @@ def test_a_run_that_fails_after_its_inputs_load_leaves_no_output(tmp_path, capsy
                    [(0, 2), (0, 3), (1, 2), (1, 3)])
     nodes, edges, emb = tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "emb.tsv"
     g.save(nodes, edges)
-    init_embeddings(g, 2, 1.0, np.random.default_rng(0)).save_tsv(emb, g)
+    g.save_nodes(emb, init_embeddings(g, 2, 1.0, np.random.default_rng(0)).coords)
     for argv, message in (
         (["train", *fast_flags(), "--lr", "1e10"], "TrainingDiverged: non-finite update"),
         (["reconstruct", "--embeddings", str(emb)], "GraphError: edge type 'A-P' is complete"),
@@ -278,12 +340,12 @@ def test_a_run_that_fails_after_its_inputs_load_leaves_no_output(tmp_path, capsy
         assert not out.exists()
 
 
-@pytest.mark.parametrize("boundaries", ["1,0.5", "2,2", ","])
+@pytest.mark.parametrize("boundaries", ["1,0.5", "2,2", ",", "nan", "1,inf"])
 def test_project_checks_boundaries_before_any_output(graph_files, tmp_path, capsys, boundaries):
     nodes, edges = graph_files
     g = load_graph(nodes, edges)
     emb = tmp_path / "emb.tsv"
-    init_embeddings(g, 2, 1.0, np.random.default_rng(0)).save_tsv(emb, g)
+    g.save_nodes(emb, init_embeddings(g, 2, 1.0, np.random.default_rng(0)).coords)
     out = tmp_path / "p"
     rc = main(["project", "--nodes", nodes, "--edges", edges, "--out", str(out),
                "--embeddings", str(emb), "--region-type", "A", "--boundaries", boundaries])
@@ -313,18 +375,36 @@ def test_identical_runs_write_identical_files_but_for_wall_time(graph_files, tmp
     # criterion 9 compares embeddings.tsv only; this compares every file a
     # run writes and its stdout, with only the logs' wall_time_s masked
     nodes, edges = graph_files
+    g = load_graph(nodes, edges)
+    emb = [str(tmp_path / f"emb{d}.tsv") for d in (2, 3)]
+    for d, path in zip((2, 3), emb):
+        g.save_nodes(path, init_embeddings(g, d, 1.0, np.random.default_rng(d)).coords)
+    pipeline = ["--dim", "2,3", "--seed", "3", *fast_flags(), "--epochs", "2"]
+    tables = {"manifest.json", "embeddings_d2.tsv", "embeddings_d3.tsv",
+              "train_log_d2.jsonl", "train_log_d3.jsonl"}
+    split = {f"split/{name}" for name in ("train_nodes.tsv", "train_edges.tsv",
+                                          "removed_edges.tsv", "non_edges.tsv", "split.json")}
     out = tmp_path / "run"
-    for command in (["train"], ["linkpred", "--edge-type", "A-B"]):
+    for command, written in (
+        (["train", *pipeline], tables),
+        (["linkpred", "--edge-type", "A-B", *pipeline], tables | split | {"link_prediction.json"}),
+        # two tables, and an edge type whose non-edges are sampled
+        (["reconstruct", "--embeddings", emb[0], "--embeddings", emb[1], "--edge-type", "A-B",
+          "--max-neg", "50", "--seed", "3"], {"manifest.json", "reconstruction.json"}),
+        (["project", "--embeddings", emb[1], "--region-type", "A"],
+         {"manifest.json", "projection.tsv", "regions.json"}),
+    ):
         runs = []
         for _ in range(2):
-            assert main([*command, "--nodes", nodes, "--edges", edges, "--out", str(out),
-                         "--dim", "2,3", "--seed", "3", *fast_flags(), "--epochs", "2"]) == 0
-            files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-            for name in ("train_log_d2.jsonl", "train_log_d3.jsonl"):
+            assert main([command[0], "--nodes", nodes, "--edges", edges, "--out", str(out),
+                         *command[1:]]) == 0
+            files = {p.relative_to(out).as_posix(): p.read_bytes()
+                     for p in out.rglob("*") if p.is_file()}
+            for name in {"train_log_d2.jsonl", "train_log_d3.jsonl"} & set(files):
                 files[name], masked = re.subn(rb'"wall_time_s": [^,}]+', b'"wall_time_s": 0',
                                               files[name])
                 assert masked == 2
             runs.append((files, capsys.readouterr().out))
             shutil.rmtree(out)
-        assert {"manifest.json", "embeddings_d2.tsv", "embeddings_d3.tsv"} <= set(runs[0][0])
+        assert set(runs[0][0]) == written
         assert runs[0] == runs[1]

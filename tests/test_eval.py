@@ -1,6 +1,5 @@
 """Reconstruction/link-prediction AUC, splits, regions, projection."""
 
-import json
 import math
 import tracemalloc
 from collections import deque
@@ -20,13 +19,12 @@ from hyperwalk.evaluation import (
     _sample_non_edges,
     _score_pairs,
     auc,
-    export_projection,
     LinkSplit,
     link_prediction_eval,
     make_link_split,
+    poincare_projection,
     reconstruct,
     region_stats,
-    save_link_split,
 )
 from hyperwalk.graph import GraphError, TypedGraph
 from hyperwalk.seeding import NONEDGES, substream
@@ -437,28 +435,6 @@ def test_split_preserves_component_count(rng):
         assert not g.has_edges(u, v)
 
 
-def test_split_roundtrip(tmp_path, rng):
-    g = cycle_graph(12)
-    split = make_link_split(g, "X-X", 0.25, rng=rng)
-    out = tmp_path / "split"
-    save_link_split(split, out, g)
-
-    def rows(pairs):
-        return [f"{g.node_ids[u]}\t{g.node_ids[v]}" for u, v in pairs]
-
-    assert (out / "removed_edges.tsv").read_text().splitlines() == rows(split.removed_edges)
-    assert (out / "non_edges.tsv").read_text().splitlines() == rows(split.sampled_non_edges)
-    assert (out / "train_nodes.tsv").read_text().splitlines() == [
-        f"{nid}\tX" for nid in g.node_ids
-    ]
-    assert (out / "train_edges.tsv").read_text().splitlines() == [
-        f"{r}\tX-X" for r in rows(split.train_graph.edges)
-    ]
-    assert json.loads((out / "split.json").read_text()) == {
-        "edge_type": "X-X", "fraction": 0.25, "warning": split.warning
-    }
-
-
 @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.5])
 def test_split_rejects_a_fraction_outside_unit_interval(fraction):
     rng = np.random.default_rng(0)
@@ -687,6 +663,7 @@ def test_region_stats_all_at_origin(tiny_hetero):
     assert [b.count for b in rep.regions] == [2, 0, 0]
     assert rep.overflow.count == 0
     assert rep.regions[0].mean_degree == pytest.approx(1.5)  # a0 wrote 2 papers, a1 wrote 1
+    assert rep.regions[1].mean_degree is None and rep.overflow.mean_degree is None  # empty bands
 
 
 def test_region_partition_sums_to_type_count(rng):
@@ -707,7 +684,7 @@ def test_region_assignment_uses_poincare_radius():
     assert rep.overflow.count == 1
 
 
-def test_region_radius_holds_far_from_the_origin(tmp_path):
+def test_region_radius_holds_far_from_the_origin():
     # at radius 40 the Poincare point rounds onto the unit sphere, where the
     # ball's distance formula no longer resolves it; arccosh(x_t) still does
     emb = place_on_line([20.0, 40.0])
@@ -715,10 +692,7 @@ def test_region_radius_holds_far_from_the_origin(tmp_path):
     g = TypedGraph([("n0", "N"), ("n1", "N")], [(0, 1)])
     rep = region_stats(g, emb, "N", boundaries=[19.9, 20.1, 39.9, 40.1])
     assert [b.count for b in rep.regions] == [0, 1, 0, 1] and rep.overflow.count == 0
-    out = tmp_path / "proj.tsv"
-    export_projection(emb, out, g)
-    radii = [float(line.split("\t")[4]) for line in out.read_text().splitlines()]
-    assert radii == pytest.approx([20.0, 40.0], rel=1e-12)
+    assert poincare_projection(emb)[:, 2] == pytest.approx([20.0, 40.0], rel=1e-12)
 
 
 def test_region_stats_rejects_boundaries_out_of_order():
@@ -728,33 +702,28 @@ def test_region_stats_rejects_boundaries_out_of_order():
     # is >= its radius, and 5 of the 30 A nodes lie beyond radius 1.0
     rep = region_stats(g, emb, "A", boundaries=[0.5, 1.0])
     assert [b.count for b in rep.regions] == [9, 16] and rep.overflow.count == 5
-    for bad in ([1.0, 0.5], [0.5, 0.5], []):
+    for bad in ([1.0, 0.5], [0.5, 0.5], [], [float("nan")], [0.5, float("inf")]):
         with pytest.raises(ValueError, match="non-empty and strictly increasing"):
             region_stats(g, emb, "A", boundaries=bad)
 
 
-def test_export_projection_roundtrip(tmp_path, rng):
+def test_poincare_projection_roundtrip(rng):
     pts = random_points(rng, 5, 2, scale=1.5)
     pts[0] = lorentz.origin(2)
-    nodes = [(f"n{i}", "N") for i in range(5)]
-    g = TypedGraph(nodes, [(i, (i + 1) % 5) for i in range(5)])
-    out = tmp_path / "proj.tsv"
-    export_projection(embed_at(pts), out, g)
-    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    rows = poincare_projection(embed_at(pts))
     assert len(rows) == 5
     for row in rows:
-        p = np.array([float(row[2]), float(row[3])])
+        p = row[:2]
         assert np.linalg.norm(p) < 1.0
         recomputed = 2 * np.arctanh(np.linalg.norm(p))  # distance from the ball's center
-        assert float(row[4]) == pytest.approx(recomputed, abs=1e-9)
-    assert rows[0][2] == rows[0][3] == "0.0" or float(rows[0][4]) == pytest.approx(0.0)
+        assert row[2] == pytest.approx(recomputed, abs=1e-9)
+    assert rows[0][0] == rows[0][1] == 0.0 or rows[0][2] == pytest.approx(0.0)
 
 
-def test_export_projection_restricts_higher_dims(tmp_path, rng):
+def test_poincare_projection_restricts_higher_dims(rng):
     pts = random_points(rng, 4, 5)
-    nodes = [(f"n{i}", "N") for i in range(4)]
-    g = TypedGraph(nodes, [(0, 1), (1, 2), (2, 3)])
-    out = tmp_path / "proj.tsv"
-    export_projection(embed_at(pts), out, g)
-    rows = [line.split("\t") for line in out.read_text().splitlines()]
-    assert all(len(r) == 5 for r in rows)
+    rows = poincare_projection(embed_at(pts))
+    assert rows.shape == (4, 3)
+    # the same rows as the points restricted to their first two spatial coordinates
+    flat = poincare_projection(embed_at(lorentz.normalize(pts[:, [0, 1, -1]])))
+    np.testing.assert_array_equal(rows, flat)

@@ -1,5 +1,6 @@
-"""The package's public names and what importing it loads."""
+"""The package's public names, what importing it loads, and which modules write files."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +27,24 @@ def test_importing_the_package_and_cli_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_graph_walk_and_cli_open_or_write_files():
+    # graph owns the row formats, walk its walk dump, cli the --out layout:
+    # every other module computes and returns data
+    def touches_files(call):
+        f = call.func
+        if isinstance(f, ast.Name):
+            return f.id == "open"
+        return isinstance(f, ast.Attribute) and (
+            f.attr in ("open", "write_text", "write_bytes") or ast.unparse(f) == "json.dump"
+        )
+
+    package = Path(hyperwalk.__file__).parent
+    writers = {
+        path.stem
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and touches_files(node)
+    }
+    assert writers == {"graph", "walk", "cli"}

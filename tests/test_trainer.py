@@ -54,15 +54,18 @@ def test_pair_loss_no_negatives_is_zero():
 
 
 def test_pair_weights_sum_to_one_and_prefer_near_candidates():
-    # _pair_terms' softmax weights over one pair's candidates, feature-major
+    # _pair_terms' softmax weights over one pair's candidates, feature-major:
+    # a candidate's weight is exp(-loss) with that candidate placed first
     e_u = lorentz.origin(2)
     near = point_at([1.0, 0.0], 0.5)
     far = point_at([0.0, 1.0], 2.5)
     W = np.stack([near, far], axis=1)[:, None, :]  # (n+1, B=1, K=2)
-    _, p, _, _ = trainer._pair_terms(e_u[:, None], W)
-    assert p.shape == (1, 2)
-    assert p[0].sum() == pytest.approx(1.0, abs=1e-12)
-    assert p[0, 0] > p[0, 1]
+    loss, _, _ = trainer._pair_terms(e_u[:, None], W)
+    swapped, _, _ = trainer._pair_terms(e_u[:, None], W[:, :, ::-1])
+    assert loss.shape == swapped.shape == (1,)
+    p = np.exp(-np.concatenate([loss, swapped]))  # the weights of near and far
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert p[0] > p[1]
 
 
 def test_pair_loss_decreases_as_positive_approaches():
@@ -91,7 +94,7 @@ def row_major_pair_terms(U, W):
     c = coeff * trainer._sq_dist_grad_factor(d)
     grad_u = -np.einsum("bk,bkd->bd", c, W)
     grad_w = -c[:, :, None] * U[:, None, :]
-    return loss, p, grad_u, grad_w
+    return loss, grad_u, grad_w
 
 
 def assert_close_to(actual, reference, rtol):
@@ -109,14 +112,13 @@ def test_feature_major_pair_terms_match_the_row_major_formula(d, batch):
     W[0, 0] = U[0]  # a coincident pair: its distance takes the d < 1e-7 branch
     assert lorentz.hyperbolic_distance(U[0], W[0, 0]) < 1e-7
     ref = row_major_pair_terms(U, W)
-    loss, p, grad_u, grad_w = trainer._pair_terms(
+    loss, grad_u, grad_w = trainer._pair_terms(
         np.ascontiguousarray(U.T), np.ascontiguousarray(W.transpose(2, 0, 1))
     )
     assert grad_u.shape == (d + 1, batch) and grad_w.shape == (d + 1, batch, k)
     assert_close_to(loss, ref[0], 1e-12)
-    assert_close_to(p, ref[1], 1e-12)
-    assert_close_to(grad_u.T, ref[2], 1e-12)
-    assert_close_to(grad_w.transpose(1, 2, 0), ref[3], 1e-12)
+    assert_close_to(grad_u.T, ref[1], 1e-12)
+    assert_close_to(grad_w.transpose(1, 2, 0), ref[2], 1e-12)
     assert np.all(np.isfinite(grad_u[:, 0])) and np.all(np.isfinite(grad_w[:, 0, 0]))
 
 
@@ -245,7 +247,7 @@ def test_init_embeddings_near_origin_on_manifold(tiny_hetero):
 def test_embedding_tsv_roundtrip(tiny_hetero, tmp_path):
     emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
     path = tmp_path / "emb.tsv"
-    emb.save_tsv(path, tiny_hetero)
+    tiny_hetero.save_nodes(path, emb.coords)
     again = load_embeddings_for_graph(path, tiny_hetero)
     np.testing.assert_array_equal(again.coords, emb.coords)  # full precision
     first = path.read_text().splitlines()[0].split("\t")
@@ -255,7 +257,7 @@ def test_embedding_tsv_roundtrip(tiny_hetero, tmp_path):
 def test_embedding_file_with_a_duplicated_id_is_rejected(tiny_hetero, tmp_path):
     emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
     path = tmp_path / "emb.tsv"
-    emb.save_tsv(path, tiny_hetero)
+    tiny_hetero.save_nodes(path, emb.coords)
     lines = path.read_text().splitlines()
     lines[1] = lines[0]  # right row count, one id twice and one missing
     path.write_text("\n".join(lines) + "\n")
@@ -266,7 +268,7 @@ def test_embedding_file_with_a_duplicated_id_is_rejected(tiny_hetero, tmp_path):
 def test_short_embedding_file_is_rejected(tiny_hetero, tmp_path):
     emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
     path = tmp_path / "emb.tsv"
-    emb.save_tsv(path, tiny_hetero)
+    tiny_hetero.save_nodes(path, emb.coords)
     path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")  # drops a0
     with pytest.raises(ValueError, match="emb.tsv"):
         load_embeddings_for_graph(path, tiny_hetero)
@@ -276,7 +278,7 @@ def test_padded_fields_load_from_node_and_embedding_files_alike(tmp_path):
     g = TypedGraph([("a0", "A"), ("b0", "B")], [(0, 1)])
     table = init_embeddings(g, 2, 0.5, np.random.default_rng(0))
     nodes, edges, path = tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "emb.tsv"
-    table.save_tsv(path, g)
+    g.save_nodes(path, table.coords)
     rows = path.read_text().splitlines()
     nodes.write_text(" a0 \tA \n b0\t B\n")
     path.write_text(" a0 \tA \t" + rows[0].split("\t", 2)[2] + "\n b0\t B\t"
@@ -295,7 +297,7 @@ def test_padded_fields_load_from_node_and_embedding_files_alike(tmp_path):
 def test_unknown_or_repeated_embedding_id_names_its_line(tiny_hetero, tmp_path, row, message):
     emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
     path = tmp_path / "emb.tsv"
-    emb.save_tsv(path, tiny_hetero)
+    tiny_hetero.save_nodes(path, emb.coords)
     lines = path.read_text().splitlines()
     lines[1:2] = ["", row + "\t" + lines[1].split("\t", 2)[2]]  # a blank line 2, the row on line 3
     path.write_text("\n".join(lines) + "\n")
@@ -313,7 +315,7 @@ def test_embedding_file_of_bare_ids_names_its_first_line(tiny_hetero, tmp_path):
 def test_embedding_file_skips_blank_and_comment_lines(tiny_hetero, tmp_path):
     emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
     path = tmp_path / "emb.tsv"
-    emb.save_tsv(path, tiny_hetero)
+    tiny_hetero.save_nodes(path, emb.coords)
     lines = path.read_text().splitlines()
     path.write_text("# header\n" + "\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
     np.testing.assert_array_equal(load_embeddings_for_graph(path, tiny_hetero).coords, emb.coords)
@@ -336,7 +338,7 @@ def test_embedding_file_skips_blank_and_comment_lines(tiny_hetero, tmp_path):
 def test_malformed_embedding_row_names_its_line(tiny_hetero, tmp_path, coords, message):
     emb = init_embeddings(tiny_hetero, 3, 0.5, np.random.default_rng(1))
     path = tmp_path / "emb.tsv"
-    emb.save_tsv(path, tiny_hetero)
+    tiny_hetero.save_nodes(path, emb.coords)
     lines = path.read_text().splitlines()
     lines[1:2] = ["", "a1\tauthor\t" + coords]  # a blank line 2, the a1 row on line 3
     path.write_text("\n".join(lines) + "\n")
@@ -347,7 +349,7 @@ def test_malformed_embedding_row_names_its_line(tiny_hetero, tmp_path, coords, m
 def test_embedding_row_must_carry_the_graphs_type_label(tmp_path):
     g = TypedGraph([("a", "A"), ("b", "B"), ("c", "B")], [(0, 1), (0, 2)])
     path = tmp_path / "emb.tsv"
-    init_embeddings(g, 2, 0.5, np.random.default_rng(0)).save_tsv(path, g)
+    g.save_nodes(path, init_embeddings(g, 2, 0.5, np.random.default_rng(0)).coords)
     path.write_text(path.read_text().replace("\tB\t", "\tvenue\t"))  # b and c relabelled
     with pytest.raises(GraphError, match="emb.tsv:2: node 'b' is of type 'B' in the graph, not 'venue'"):
         load_embeddings_for_graph(path, g)
@@ -358,7 +360,7 @@ def test_trained_and_far_out_points_load_bit_exactly(trained, tmp_path):
     table, _ = train(g, corpus, cfg, dim=2)
     table.coords[1] = [np.sinh(40.0), 0.0, np.cosh(40.0)]  # radius 40
     path = tmp_path / "emb.tsv"
-    table.save_tsv(path, g)
+    g.save_nodes(path, table.coords)
     np.testing.assert_array_equal(load_embeddings_for_graph(path, g).coords, table.coords)
 
 
@@ -510,7 +512,7 @@ def dense_scatter_train(g, corpus, cfg, dim):
             # another memory order, and the kernels' sums round by layout
             U = np.take(coords, u_idx, axis=1)
             W = np.take(coords, w_idx, axis=1)
-            loss, _, grad_u, grad_w = trainer._pair_terms(U, W)
+            loss, grad_u, grad_w = trainer._pair_terms(U, W)
             flat_idx = np.concatenate([u_idx, w_idx.ravel()])
             flat_grad = np.concatenate([grad_u, grad_w.reshape(dim + 1, -1)], axis=1)
             acc_full = np.empty((dim + 1, g.n_nodes))
