@@ -14,9 +14,9 @@ rows through ``TypedGraph.save_nodes``/``save_pairs``, JSON files through ``_wri
 
 ``linkpred`` makes its split from --edge-type, --fraction and --seed on
 every run and writes it to ``<out>/split/`` as output. A sweep over one
-flag is a shell loop over ``linkpred``. ``reconstruct`` draws each table's
-sampled non-edges from a fresh --seed substream, so every table is scored
-on the same pairs.
+flag is a shell loop over ``linkpred``. ``reconstruct`` samples each edge
+type's non-edges once, from one --seed substream in edge-type order, and
+scores every table on that sample.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -37,12 +37,16 @@ from .evaluation import (
     link_prediction_eval,
     make_link_split,
     poincare_projection,
-    reconstruct,
+    reconstruct_tables,
     region_stats,
 )
 from .graph import load_graph
 from .trainer import TrainConfig, load_embeddings_for_graph, train
 from .walk import WalkConfig, dump_walks, generate_walks
+
+
+# project --region-type's band radii when --boundaries is not given
+DEFAULT_BOUNDARIES = "2,4,6"
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -127,10 +131,11 @@ def cmd_reconstruct(args) -> int:
     g = load_graph(args.nodes, args.edges)
     edge_types = [args.edge_type] if args.edge_type else [t.label for t in g.edge_types]
     tables = [load_embeddings_for_graph(path, g) for path in args.embeddings]
-    # a fresh substream per table, so every table is scored on the same non-edges
-    rngs = [seeding.substream(args.seed, seeding.NONEDGES) for _ in tables]
-    reports = [asdict(reconstruct(g, emb, et, max_neg=args.max_neg, rng=rng))
-               for emb, rng in zip(tables, rngs) for et in edge_types]
+    rng = seeding.substream(args.seed, seeding.NONEDGES)
+    by_type = [reconstruct_tables(g, tables, et, max_neg=args.max_neg, rng=rng)
+               for et in edge_types]
+    # table-major: each table's reports in edge-type order
+    reports = [asdict(r) for per_table in zip(*by_type) for r in per_table]
     out = _write_manifest(args, "reconstruct")
     print(_write_json(out / "reconstruction.json", reports))
     return 0
@@ -168,7 +173,9 @@ def cmd_project(args) -> int:
     emb = load_embeddings_for_graph(args.embeddings, g)
     report = None
     if args.region_type:
-        boundaries = [float(x) for x in str(args.boundaries).split(",") if x]
+        if args.boundaries is None:  # resolved here, so the manifest records it
+            args.boundaries = DEFAULT_BOUNDARIES
+        boundaries = [float(x) for x in args.boundaries.split(",") if x]
         report = asdict(region_stats(g, emb, args.region_type, boundaries))
     out = _write_manifest(args, "project")
     g.save_nodes(out / "projection.tsv", poincare_projection(emb))
@@ -211,13 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--region-type", default=None, help="node type for region stats")
-    p.add_argument("--boundaries", default="2,4,6")
+    p.add_argument("--boundaries", default=None,
+                   help=f"with --region-type: band radii, default {DEFAULT_BOUNDARIES}")
     p.set_defaults(func=cmd_project)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "boundaries", None) is not None and not args.region_type:
+        parser.error("project: --boundaries is read only with --region-type")
     emb = getattr(args, "embeddings", None) or []  # one path for project, a list for reconstruct
     for path in [args.nodes, args.edges, *([emb] if isinstance(emb, str) else emb)]:
         if not os.path.exists(path):

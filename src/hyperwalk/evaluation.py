@@ -5,9 +5,13 @@ AUC is the Mann-Whitney statistic with half credit for ties.
 
 Every step whose size grows with the number of scored pairs (up to
 ``max_neg`` non-edges) works through the pairs in blocks of ``BLOCK``, so
-memory is the pair and score arrays plus O(BLOCK) temporaries. Sampled and
-enumerated non-edges are node indices at the corpus's width,
-``corpus.index_dtype``. AUC sorts the negative scores once and counts.
+memory is the pair and score arrays plus O(BLOCK) temporaries. At d = 10
+each of a block's (BLOCK, dim + 1) float64 temporaries takes 0.7 MB, small
+enough to stay in a core's L2 cache. Sampled and enumerated non-edges are
+node indices at the corpus's width, ``corpus.index_dtype``; sampling draws
+its candidates' indices as int32. AUC sorts the negative scores once and
+counts: a report sorts the scores it computed in place, the public ``auc``
+a copy.
 
 Nothing here reads or writes a file: the CLI writes what these functions return.
 """
@@ -25,7 +29,7 @@ from .trainer import EmbeddingTable
 
 DEFAULT_MAX_NEG = 1_000_000
 # pairs gathered, scored or tested for edge membership at a time
-BLOCK = 65_536
+BLOCK = 8_192
 
 
 @dataclass
@@ -67,36 +71,53 @@ def _score_pairs(emb: EmbeddingTable, pairs: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def _auc_report(g: TypedGraph, emb: EmbeddingTable, edge_type: str, pos, neg, **extra):
-    """AucReport of the (k, 2) positive and negative pairs: their AUC, and how
-    many have an endpoint isolated in g, the graph trained on."""
+def _auc_reports(g: TypedGraph, tables: list[EmbeddingTable], edge_type: str, pos, neg,
+                 **extra) -> list[AucReport]:
+    """One AucReport per table of the (k, 2) positive and negative pairs:
+    their AUC, and how many have an endpoint isolated in g, the graph
+    trained on."""
     isolated = g.degrees() == 0
-    return AucReport(
-        edge_type=edge_type,
-        dimension=emb.dim,
-        auc=auc(_score_pairs(emb, pos), _score_pairs(emb, neg)),
-        n_pos=len(pos),
-        n_neg=len(neg),
-        isolated_pairs=sum(int(isolated[pairs].any(axis=1).sum()) for pairs in (pos, neg)),
-        **extra,
-    )
+    isolated_pairs = sum(int(isolated[pairs].any(axis=1).sum()) for pairs in (pos, neg))
+    return [
+        AucReport(
+            edge_type=edge_type,
+            dimension=emb.dim,
+            auc=_pairs_auc(emb, pos, neg),
+            n_pos=len(pos),
+            n_neg=len(neg),
+            isolated_pairs=isolated_pairs,
+            **extra,
+        )
+        for emb in tables
+    ]
+
+
+def _pairs_auc(emb: EmbeddingTable, pos, neg) -> float:
+    """``auc`` of the scores of the pairs, the negatives' sorted in place."""
+    neg_scores = _score_pairs(emb, neg)
+    neg_scores.sort()
+    return _auc_sorted(_score_pairs(emb, pos), neg_scores)
 
 
 def auc(pos_scores, neg_scores) -> float:
     """P(random positive outscores random negative), ties counted half.
 
-    Sorts the negatives once and counts, for each positive, the negatives
-    below it and up to it. ``2 * wins + ties`` is an exact integer, so the
-    result is the rank-sum (Mann-Whitney) formula's to the last bit. A NaN
-    score on either side gives NaN.
+    Sorts a copy of the negatives once and counts, for each positive, the
+    negatives below it and up to it. ``2 * wins + ties`` is an exact
+    integer, so the result is the rank-sum (Mann-Whitney) formula's to the
+    last bit. A NaN score on either side gives NaN.
     """
+    return _auc_sorted(pos_scores, np.sort(np.asarray(neg_scores, dtype=np.float64).ravel()))
+
+
+def _auc_sorted(pos_scores, neg: np.ndarray) -> float:
+    """``auc`` of the positives against negatives already sorted ascending,
+    where NaNs sort last."""
     pos = np.asarray(pos_scores, dtype=np.float64).ravel()
-    neg = np.asarray(neg_scores, dtype=np.float64).ravel()
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both score sets must be nonempty")
-    if np.isnan(pos).any() or np.isnan(neg).any():
+    if np.isnan(pos).any() or np.isnan(neg[-1]):
         return float("nan")
-    neg = np.sort(neg)
     below = np.searchsorted(neg, pos, side="left")
     up_to = np.searchsorted(neg, pos, side="right")
     twice_wins = int(below.sum()) + int(up_to.sum())
@@ -117,7 +138,8 @@ def _n_compatible_pairs(et: EdgeType, A: np.ndarray, B: np.ndarray) -> int:
 def _sample_non_edges(g: TypedGraph, et: EdgeType, k: int, rng) -> np.ndarray:
     """k type-compatible non-edges of g, uniform per side, with replacement.
 
-    Each attempt draws its candidates' indices into A and B whole, then
+    Each attempt draws its candidates' indices into A and B whole, as int32
+    (the values, and the generator's state after, of an int64 draw), then
     gathers and tests them a block at a time and stops once k are kept.
     The pairs come as ``index_dtype(g.n_nodes)``; k = 0 draws nothing.
     """
@@ -127,8 +149,8 @@ def _sample_non_edges(g: TypedGraph, et: EdgeType, k: int, rng) -> np.ndarray:
     attempts = 0
     while filled < k:
         m = max(k - filled, 64)
-        iu = rng.integers(A.size, size=m)
-        iv = rng.integers(B.size, size=m)
+        iu = rng.integers(A.size, size=m, dtype=np.int32)
+        iv = rng.integers(B.size, size=m, dtype=np.int32)
         for s in range(0, m, BLOCK):
             u, v = A[iu[s : s + BLOCK]], B[iv[s : s + BLOCK]]
             sel = np.flatnonzero(~g.has_edges(u, v) & (u != v))[: k - filled]
@@ -183,6 +205,20 @@ def reconstruct(
     enumerated, and scored, in blocks of ``BLOCK``: memory is the O(max_neg)
     pair and score arrays plus O(BLOCK) temporaries.
     """
+    return reconstruct_tables(g, [emb], t, max_neg, rng)[0]
+
+
+def reconstruct_tables(
+    g: TypedGraph,
+    tables: list[EmbeddingTable],
+    t,
+    max_neg: int = DEFAULT_MAX_NEG,
+    rng=None,
+) -> list[AucReport]:
+    """:func:`reconstruct` of each table, every one scored on the same
+    non-edges: one sample (or enumeration) serves them all, so the reports
+    equal one ``reconstruct`` call per table, each with a fresh ``rng`` of
+    the same state."""
     if max_neg < 1:
         raise ValueError(f"max_neg must be >= 1, got {max_neg}")
     et = g.edge_type(t)
@@ -201,7 +237,7 @@ def reconstruct(
         negatives = _sample_non_edges(g, et, max_neg, rng)
     else:
         negatives = _all_non_edges(g, et)
-    return _auc_report(g, emb, et.label, positives, negatives, negatives_sampled=sampled)
+    return _auc_reports(g, tables, et.label, positives, negatives, negatives_sampled=sampled)
 
 
 def _removable(g: TypedGraph, et: EdgeType, edges_t: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -285,8 +321,8 @@ def link_prediction_eval(split: LinkSplit, emb: EmbeddingTable) -> AucReport:
     """AUC over removed edges vs the split's sampled non-edges."""
     if len(split.removed_edges) == 0:
         raise ValueError("link split has no removed edges")
-    return _auc_report(split.train_graph, emb, split.edge_type, split.removed_edges,
-                       split.sampled_non_edges, warning=split.warning)
+    return _auc_reports(split.train_graph, [emb], split.edge_type, split.removed_edges,
+                        split.sampled_non_edges, warning=split.warning)[0]
 
 
 @dataclass

@@ -9,7 +9,10 @@ hyperbolic distance (smooth at coincidence), get projected onto tangent
 spaces, and every touched point takes one exact exponential-map step per
 batch, followed by re-normalization onto the manifold. A batch gathers,
 sums and updates only the rows it touches, so its cost follows the batch
-size, not the number of nodes. Each epoch's log record carries
+size, not the number of nodes. A batch holds no (dim + 1, B, K) candidate
+gradient array: a candidate's gradient is its pair's anchor times one
+scalar, formed one coordinate at a time into a reused buffer as the
+per-node sums take it. Each epoch's log record carries
 ``max_manifold_drift``, the largest |<x,x>_M + 1| of an updated point before
 that re-normalization, and ``noise_collision_share``, the share of noise
 draws equal to the anchor or its positive partner.
@@ -146,8 +149,10 @@ def _pair_terms(U: np.ndarray, W: np.ndarray):
 
     Feature-major: U is (n+1, B) anchors and W is (n+1, B, K) candidates with
     the positive partner first, so each coordinate's values sit in one
-    contiguous block. Returns per-pair losses (B,) and Minkowski-raised
-    ambient gradients for the anchors (n+1, B) and the candidates (n+1, B, K).
+    contiguous block. Returns per-pair losses (B,), the Minkowski-raised
+    ambient gradients of the anchors (n+1, B), and the (B, K) scalars ``-c``
+    that give the candidates' gradients: candidate (b, k)'s is
+    ``-c[b, k] * U[:, b]``.
     """
     inner = np.einsum("db,dbk->bk", U[:-1], W[:-1]) - U[-1][:, None] * W[-1]
     a = np.clip(-inner, 1.0, None)
@@ -161,8 +166,7 @@ def _pair_terms(U: np.ndarray, W: np.ndarray):
     coeff[:, 0] += 1.0  # d loss / d (d^2) per candidate
     c = coeff * _sq_dist_grad_factor(d)
     grad_u = -np.einsum("bk,dbk->db", c, W)
-    grad_w = -c * U[:, :, None]
-    return loss, grad_u, grad_w
+    return loss, grad_u, -c
 
 
 def train(
@@ -176,19 +180,21 @@ def train(
     ``substream(cfg.seed, PAIRS)``, the last batch only the remainder, so
     an epoch draws exactly P pairs: a one-epoch run leaves about 1/e of them
     unvisited and visits others more than once, and nothing ``train``
-    allocates grows with P. A batch's pair columns join
-    the int64 noise draws in one ``concatenate``, which widens them to int64.
-    The epoch loop keeps the table feature-major, as one C-contiguous
-    (dim + 1, n_nodes) array, and writes it back to the row-major
+    allocates grows with P. A batch writes its anchors, their partners and
+    the noise draws, widened to int64, into one index buffer that every
+    batch reuses. The epoch loop keeps the table feature-major, as one
+    C-contiguous (dim + 1, n_nodes) array, and writes it back to the row-major
     ``table.coords`` once at the end. Each batch gathers (dim + 1, rows)
     blocks from it, so every per-row Minkowski sum and broadcast runs along
     the rows in contiguous memory, not across dim + 1 coordinates per row.
     Per batch, in this order: one draw of pair indices, one draw of fresh
     noise negatives, one ``_pair_terms`` call for the losses and gradients
     of all its pairs, one ``bincount`` per coordinate that sums the
-    gradients per touched node, then one call each of
-    ``lorentz.project_to_tangent``, ``exp_map`` and ``normalize`` on
-    (touched, dim + 1) transposed views of the blocks: one
+    gradients per touched node, in batch order (each coordinate's weights,
+    the anchors' gradients and then ``-c`` times the anchors, are formed in
+    one reused buffer, so no (dim + 1, B, K) gradient array exists), then
+    one call each of ``lorentz.project_to_tangent``, ``exp_map`` and
+    ``normalize`` on (touched, dim + 1) transposed views of the blocks: one
     exponential-map step per touched node, then re-normalization. The
     per-batch cost scales with the rows the batch touches, not with
     ``g.n_nodes``; only one scan of an n_nodes-long boolean mark is not.
@@ -214,6 +220,11 @@ def train(
     # cleared after), slot maps a touched node to its column in the batch's sums
     seen = np.zeros(g.n_nodes, dtype=bool)
     slot = np.empty(g.n_nodes, dtype=np.int64)
+    # a batch's node indices and one coordinate's gradient weights, in the
+    # order anchors, then each anchor's partner and noise draws
+    rows = min(cfg.batch_size, len(pairs)) * (k + 2)
+    index_buf = np.empty(rows, dtype=np.int64)
+    weight_buf = np.empty(rows)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -222,15 +233,18 @@ def train(
         collisions = 0
         for b0 in range(0, len(pairs), cfg.batch_size):
             idx = pair_rng.integers(len(pairs), size=min(cfg.batch_size, len(pairs) - b0))
-            u_idx = pairs[idx, 0]
-            v_idx = pairs[idx, 1]
-            negs = noise.sample(neg_rng, size=(idx.size, k))
-            hits = (negs == u_idx[:, None]) | (negs == v_idx[:, None])
+            n = idx.size
+            flat_idx = index_buf[: n * (k + 2)]
+            u_idx, w_idx = flat_idx[:n], flat_idx[n:].reshape(n, k + 1)
+            u_idx[:] = pairs[idx, 0]
+            w_idx[:, 0] = pairs[idx, 1]
+            w_idx[:, 1:] = noise.sample(neg_rng, size=(n, k))
+            negs = w_idx[:, 1:]
+            hits = (negs == u_idx[:, None]) | (negs == w_idx[:, :1])
             collisions += int(np.count_nonzero(hits))
-            w_idx = np.concatenate([v_idx[:, None], negs], axis=1)
             U = np.take(coords, u_idx, axis=1)
             W = np.take(coords, w_idx, axis=1)
-            loss, grad_u, grad_w = _pair_terms(U, W)
+            loss, grad_u, neg_c = _pair_terms(U, W)
             batch_loss = float(loss.sum())
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(
@@ -239,8 +253,6 @@ def train(
             # per-node mean of the per-pair gradients: a node pulled by many
             # pairs in one batch takes one averaged step, so step sizes stay
             # O(lr) no matter how often a hub appears in the batch
-            flat_idx = np.concatenate([u_idx, w_idx.ravel()])
-            flat_grad = np.concatenate([grad_u, grad_w.reshape(dim + 1, -1)], axis=1)
             seen[flat_idx] = True
             touched = np.flatnonzero(seen)  # ascending node order
             seen[touched] = False
@@ -248,9 +260,12 @@ def train(
             flat_slot = slot[flat_idx]
             # a bincount per coordinate adds each node's terms in batch order,
             # over the touched columns only: its length does not grow with n_nodes
+            weights = weight_buf[: flat_idx.size]
             acc = np.empty((dim + 1, touched.size))
             for j in range(dim + 1):
-                acc[j] = np.bincount(flat_slot, weights=flat_grad[j], minlength=touched.size)
+                weights[:n] = grad_u[j]
+                np.multiply(neg_c, U[j][:, None], out=weights[n:].reshape(n, k + 1))
+                acc[j] = np.bincount(flat_slot, weights=weights, minlength=touched.size)
             acc /= np.bincount(flat_slot, minlength=touched.size)
             x = np.take(coords, touched, axis=1)
             # (touched, dim + 1) views: lorentz sees one point per row

@@ -145,9 +145,10 @@ def pair_gradients(e_u, e_v, negs=()):
     """Tangent-space gradients of :func:`pair_loss` for u, v and each negative."""
     e_u = np.asarray(e_u, dtype=np.float64)
     W = np.stack([e_v, *negs]).astype(np.float64)
-    _, grad_u, grad_w = _pair_terms(e_u[:, None], W.T[:, None, :])
+    _, grad_u, neg_c = _pair_terms(e_u[:, None], W.T[:, None, :])
+    grad_w = neg_c[0][:, None] * e_u  # candidate k's gradient is -c[k] * e_u
     gu = lorentz.project_to_tangent(e_u, grad_u[:, 0])
-    gw = lorentz.project_to_tangent(W, grad_w[:, 0].T)
+    gw = lorentz.project_to_tangent(W, grad_w)
     return gu, gw[0], list(gw[1:])
 
 

@@ -4,16 +4,17 @@ import argparse
 import json
 import re
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hyperwalk import seeding
 from hyperwalk.cli import build_parser, main
-from hyperwalk.evaluation import make_link_split
+from hyperwalk.evaluation import make_link_split, reconstruct
 from hyperwalk.graph import TypedGraph, load_graph
 from hyperwalk.synthetic import two_block_graph
-from hyperwalk.trainer import init_embeddings
+from hyperwalk.trainer import init_embeddings, load_embeddings_for_graph
 
 
 @pytest.fixture
@@ -228,6 +229,28 @@ def test_reconstruct_scores_every_table_on_the_same_non_edges(tmp_path):
     assert first == second
 
 
+def test_reconstruct_equals_one_fresh_substream_per_table(tmp_path):
+    # one sample per edge type serves every table: the reports equal those
+    # of a reconstruct call per table, each with a fresh --seed substream
+    g = two_block_graph(np.random.default_rng(0), sizes=(60, 8, 60))
+    nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    g.save(nodes, edges)
+    emb = [tmp_path / f"emb{d}.tsv" for d in (2, 3)]
+    for d, path in zip((2, 3), emb):
+        g.save_nodes(path, init_embeddings(g, d, 1.0, np.random.default_rng(d)).coords)
+    out = tmp_path / "r"
+    assert main(["reconstruct", "--nodes", str(nodes), "--edges", str(edges), "--out", str(out),
+                 "--embeddings", str(emb[0]), "--embeddings", str(emb[1]),
+                 "--max-neg", "50", "--seed", "3"]) == 0
+    want = []
+    for path in emb:
+        table = load_embeddings_for_graph(path, g)
+        rng = seeding.substream(3, seeding.NONEDGES)
+        want += [asdict(reconstruct(g, table, t, max_neg=50, rng=rng)) for t in ("A-B", "B-C")]
+    assert all(r["negatives_sampled"] for r in want)
+    assert json.loads((out / "reconstruction.json").read_text()) == want
+
+
 def test_regions_json_is_strict_json_with_an_empty_band(graph_files, tmp_path):
     nodes, edges = graph_files
     g = load_graph(nodes, edges)
@@ -354,6 +377,24 @@ def test_project_checks_boundaries_before_any_output(graph_files, tmp_path, caps
         capsys.readouterr().err
     )
     assert not out.exists()
+
+
+def test_project_rejects_boundaries_without_region_type(graph_files, tmp_path, capsys):
+    nodes, edges = graph_files
+    g = load_graph(nodes, edges)
+    emb = tmp_path / "emb.tsv"
+    g.save_nodes(emb, init_embeddings(g, 2, 1.0, np.random.default_rng(0)).coords)
+    out = tmp_path / "p"
+    with pytest.raises(SystemExit) as e:
+        main(["project", "--nodes", nodes, "--edges", edges, "--out", str(out),
+              "--embeddings", str(emb), "--boundaries", "nan"])
+    assert e.value.code == 2
+    assert "--boundaries is read only with --region-type" in capsys.readouterr().err
+    assert not out.exists()
+    # with --region-type, the manifest records the boundaries the run used
+    assert main(["project", "--nodes", nodes, "--edges", edges, "--out", str(out),
+                 "--embeddings", str(emb), "--region-type", "A"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["boundaries"] == "2,4,6"
 
 
 def test_train_runs_are_byte_identical(graph_files, tmp_path, monkeypatch):

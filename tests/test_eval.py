@@ -131,6 +131,15 @@ def test_auc_is_nan_when_a_score_is_nan(side):
     assert math.isnan(auc(*scores))
 
 
+def test_auc_leaves_its_inputs_unchanged():
+    # reports sort the scores they computed in place; auc sorts a copy
+    rng = np.random.default_rng(0)
+    pos, neg = rng.normal(size=50), rng.normal(size=80)
+    pos_before, neg_before = pos.copy(), neg.copy()
+    assert auc(pos, neg) == rank_sum_auc(pos, neg)
+    assert np.array_equal(pos, pos_before) and np.array_equal(neg, neg_before)
+
+
 # --- _score_pairs and reconstruct ----------------------------------------
 
 
@@ -260,9 +269,9 @@ def test_reports_count_pairs_that_touch_an_isolated_node(rng):
     assert (rep.n_pos, rep.n_neg, rep.isolated_pairs) == (1, 2, 1)
 
 
-def test_reconstruct_transient_memory_stays_bounded():
-    # 1M sampled A-P non-edges: the pairs take 16 MiB and their scores 8 MiB;
-    # scoring and ranking them as whole arrays peaked at about 275 MiB
+def a_p_reconstruct_peak():
+    """tracemalloc peak of reconstruct("A-P") with 1M sampled non-edges on
+    the DBLP-shaped graph of seed 5, untrained d=10 table."""
     g = dblp_shaped_graph(np.random.default_rng(5))
     table = init_embeddings(g, 10, INIT_SCALE, np.random.default_rng(5))
     tracemalloc.start()
@@ -272,7 +281,21 @@ def test_reconstruct_transient_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert rep.negatives_sampled and rep.n_neg == evaluation.DEFAULT_MAX_NEG
+    return peak
+
+
+def test_reconstruct_transient_memory_stays_bounded():
+    # scoring and ranking the 1M sampled non-edges as whole arrays peaked at
+    # about 275 MiB
+    peak = a_p_reconstruct_peak()
     assert peak < 64 * 2**20, f"reconstruct peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_reconstruct_a_p_peak_stays_within_a_few_blocks():
+    # the uint16 pairs take 3.8 MiB and their scores 7.6 MiB; the rest is
+    # O(BLOCK) gathers and the int32 index draws
+    peak = a_p_reconstruct_peak()
+    assert peak < 16 * 2**20, f"reconstruct peaked at {peak / 2**20:.1f} MiB"
 
 
 # --- non-edges ------------------------------------------------------------
@@ -337,6 +360,31 @@ def test_sample_non_edges_in_blocks_equals_whole_array_sampling(monkeypatch, sam
     assert attempts >= 3
     assert got.dtype == index_dtype(g.n_nodes) and np.array_equal(got, want)
     # the same draws were made: both generators are at the same state
+    assert got_rng.integers(2**62) == want_rng.integers(2**62)
+
+
+@pytest.mark.parametrize("n", [20, 290, 14_376, 14_475, 65_536])
+def test_int32_index_draws_equal_int64_draws(n):
+    # _sample_non_edges draws int32 candidate indices: the same values, and
+    # the same generator state after, as int64 draws, whole or in pieces
+    narrow, wide = np.random.default_rng(n), np.random.default_rng(n)
+    for size in (100_003, 7, 1):
+        assert np.array_equal(narrow.integers(n, size=size, dtype=np.int32),
+                              wide.integers(n, size=size))
+    assert narrow.integers(2**62) == wide.integers(2**62)
+
+
+@pytest.mark.parametrize("t", ["A-P", "P-V"])
+def test_sample_non_edges_equals_whole_int64_draws(t):
+    # at the module's BLOCK, several blocks per attempt, against the
+    # reference's whole int64 arrays (as the former 65,536-pair blocks drew them)
+    g = dblp_shaped_graph(np.random.default_rng(5))
+    et = g.edge_type(t)
+    k = 3 * evaluation.BLOCK + 5
+    got_rng, want_rng = substream(5, NONEDGES), substream(5, NONEDGES)
+    got = _sample_non_edges(g, et, k, got_rng)
+    want, _ = sample_non_edges_whole(g, et, k, want_rng)
+    assert got.dtype == index_dtype(g.n_nodes) and np.array_equal(got, want)
     assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
 

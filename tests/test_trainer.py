@@ -10,7 +10,7 @@ from hyperwalk import lorentz, seeding, trainer
 from hyperwalk.corpus import AliasTable, build_corpus
 from hyperwalk.graph import GraphError, TypedGraph, load_graph
 from hyperwalk.seeding import substream
-from hyperwalk.synthetic import two_block_graph
+from hyperwalk.synthetic import dblp_shaped_graph, two_block_graph
 from hyperwalk.trainer import (
     TrainConfig,
     init_embeddings,
@@ -112,9 +112,10 @@ def test_feature_major_pair_terms_match_the_row_major_formula(d, batch):
     W[0, 0] = U[0]  # a coincident pair: its distance takes the d < 1e-7 branch
     assert lorentz.hyperbolic_distance(U[0], W[0, 0]) < 1e-7
     ref = row_major_pair_terms(U, W)
-    loss, grad_u, grad_w = trainer._pair_terms(
+    loss, grad_u, neg_c = trainer._pair_terms(
         np.ascontiguousarray(U.T), np.ascontiguousarray(W.transpose(2, 0, 1))
     )
+    grad_w = neg_c * U.T[:, :, None]  # candidate (b, k)'s gradient is -c[b, k] * U[b]
     assert grad_u.shape == (d + 1, batch) and grad_w.shape == (d + 1, batch, k)
     assert_close_to(loss, ref[0], 1e-12)
     assert_close_to(grad_u.T, ref[1], 1e-12)
@@ -454,6 +455,28 @@ class StopTraining(Exception):
     pass
 
 
+def traced_peak_until_noise_draw(monkeypatch, g, corpus, cfg, dim, draws):
+    """tracemalloc peak of ``train`` stopped as it asks for noise draw number ``draws``."""
+    sample = AliasTable.sample
+    calls = []
+
+    def stop_at_draw(self, rng, size):
+        calls.append(size)
+        if len(calls) == draws:
+            raise StopTraining
+        return sample(self, rng, size)
+
+    monkeypatch.setattr(AliasTable, "sample", stop_at_draw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StopTraining):
+            train(g, corpus, cfg, dim=dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_train_allocates_nothing_as_long_as_the_corpus(monkeypatch):
     # criterion 6's 4.06M-pair corpus, stopped at its fifth noise draw: an
     # int32 index over the pairs alone would trace 15.5 MiB
@@ -461,24 +484,20 @@ def test_train_allocates_nothing_as_long_as_the_corpus(monkeypatch):
     walks = generate_walks(g, WalkConfig(walks_per_node=10, walk_length=80, seed=0))
     corpus = build_corpus(walks, window=5, n_nodes=g.n_nodes)
     assert len(corpus) > 4_000_000
-    sample = AliasTable.sample
-    calls = []
-
-    def stop_after_four(self, rng, size):
-        calls.append(size)
-        if len(calls) > 4:
-            raise StopTraining
-        return sample(self, rng, size)
-
-    monkeypatch.setattr(AliasTable, "sample", stop_after_four)
-    tracemalloc.start()
-    try:
-        with pytest.raises(StopTraining):
-            train(g, corpus, TrainConfig(seed=0), dim=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak_until_noise_draw(monkeypatch, g, corpus, TrainConfig(seed=0), 10, draws=5)
     assert peak < 8 * 2**20
+
+
+def test_a_large_batch_holds_no_candidate_gradient_array(monkeypatch):
+    # DBLP shape at batch 8192, stopped at its fourth noise draw: each of
+    # the (dim + 1, B, K + 1) float64 candidate gradients and their
+    # concatenation with the anchors' would take 14.4-15.1 MiB more
+    g = dblp_shaped_graph(np.random.default_rng(5))
+    walks = generate_walks(g, WalkConfig(walks_per_node=1, walk_length=6, seed=5))
+    corpus = build_corpus(walks, window=5, n_nodes=g.n_nodes)
+    cfg = TrainConfig(batch_size=8192, seed=0)
+    peak = traced_peak_until_noise_draw(monkeypatch, g, corpus, cfg, 10, draws=4)
+    assert peak < 64 * 2**20, f"train peaked at {peak / 2**20:.1f} MiB"
 
 
 # --- the dense scatter the trainer used before it summed touched rows only ---
@@ -512,7 +531,8 @@ def dense_scatter_train(g, corpus, cfg, dim):
             # another memory order, and the kernels' sums round by layout
             U = np.take(coords, u_idx, axis=1)
             W = np.take(coords, w_idx, axis=1)
-            loss, grad_u, grad_w = trainer._pair_terms(U, W)
+            loss, grad_u, neg_c = trainer._pair_terms(U, W)
+            grad_w = neg_c * U[:, :, None]
             flat_idx = np.concatenate([u_idx, w_idx.ravel()])
             flat_grad = np.concatenate([grad_u, grad_w.reshape(dim + 1, -1)], axis=1)
             acc_full = np.empty((dim + 1, g.n_nodes))
