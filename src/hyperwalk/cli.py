@@ -9,8 +9,9 @@ so a failed run leaves no --out; --dump-walks is written once walks exist.
 
 A runtime failure prints ``error: <ExceptionType>: <message>`` to stderr.
 
-This module lays out --out: it writes what the library returns, node and pair
-rows through ``TypedGraph.save_nodes``/``save_pairs``, JSON files through ``_write_json``.
+This module lays out --out: it writes what the library returns, node and pair rows through
+``TypedGraph.save_nodes``/``save_pairs``, JSON as strict as ``_write_json``'s. A flag for a
+library parameter defaults to the library's value (WalkConfig, TrainConfig, evaluation).
 
 ``linkpred`` makes its split from --edge-type, --fraction and --seed on
 every run and writes it to ``<out>/split/`` as output. A sweep over one
@@ -33,6 +34,7 @@ from pathlib import Path
 from . import __version__, seeding
 from .corpus import build_corpus
 from .evaluation import (
+    DEFAULT_BOUNDARIES,
     DEFAULT_MAX_NEG,
     link_prediction_eval,
     make_link_split,
@@ -45,10 +47,6 @@ from .trainer import TrainConfig, load_embeddings_for_graph, train
 from .walk import WalkConfig, dump_walks, generate_walks
 
 
-# project --region-type's band radii when --boundaries is not given
-DEFAULT_BOUNDARIES = "2,4,6"
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", required=True, help="node TSV: node_id<TAB>type_label")
     p.add_argument("--edges", required=True, help="edge TSV: src<TAB>dst[<TAB>edge_label]")
@@ -56,14 +54,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--walks", type=int, default=10, help="walks per node")
-    p.add_argument("--walk-length", type=int, default=80)
+    """The walk and train flags; a config field's flag defaults to that field."""
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--walks", type=int, default=WalkConfig.walks_per_node, help="walks per node")
+    p.add_argument("--walk-length", type=int, default=WalkConfig.walk_length)
     p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--negatives", type=int, default=TrainConfig.negatives_per_positive)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--dim", default="10", help="dimension or comma list, e.g. 2,5,10")
 
 
@@ -87,11 +86,16 @@ def _write_json(path: Path, obj) -> str:
     return text
 
 
-def _write_manifest(args, command: str) -> Path:
+def _boundaries_text(bounds) -> str:
+    return ",".join(f"{b:g}" for b in bounds)
+
+
+def _write_manifest(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = dict(sorted((k, v) for k, v in vars(args).items() if k != "func"))
-    manifest = {"command": command, "config": config, "deterministic": True, "version": __version__}
+    manifest = {"command": args.command, "config": config, "deterministic": True,
+                "version": __version__}
     _write_json(out / "manifest.json", manifest)
     return out
 
@@ -109,7 +113,7 @@ def _save_table(out: Path, dims, g, table, history) -> None:
     g.save_nodes(out / f"embeddings{suffix}.tsv", table.coords)
     with open(out / f"train_log{suffix}.jsonl", "w", encoding="utf-8") as f:
         for h in history:
-            f.write(json.dumps(h) + "\n")
+            f.write(json.dumps(h, allow_nan=False) + "\n")
 
 
 def cmd_train(args) -> int:
@@ -121,7 +125,7 @@ def cmd_train(args) -> int:
         dump_walks(walks, g, args.dump_walks)
     corpus = build_corpus(walks, args.window, g.n_nodes)
     trained = [train(g, corpus, tcfg, d) for d in dims]
-    out = _write_manifest(args, "train")
+    out = _write_manifest(args)
     for table, history in trained:
         _save_table(out, dims, g, table, history)
     return 0
@@ -136,7 +140,7 @@ def cmd_reconstruct(args) -> int:
                for et in edge_types]
     # table-major: each table's reports in edge-type order
     reports = [asdict(r) for per_table in zip(*by_type) for r in per_table]
-    out = _write_manifest(args, "reconstruct")
+    out = _write_manifest(args)
     print(_write_json(out / "reconstruction.json", reports))
     return 0
 
@@ -154,7 +158,7 @@ def cmd_linkpred(args) -> int:
     corpus = build_corpus(walks, args.window, tg.n_nodes)
     trained = [train(tg, corpus, tcfg, d) for d in dims]
     reports = [asdict(link_prediction_eval(split, table)) for table, _ in trained]
-    out = _write_manifest(args, "linkpred")
+    out = _write_manifest(args)
     split_dir = out / "split"  # tg keeps g's node ids in g's order, so it names the split's pairs
     split_dir.mkdir(exist_ok=True)
     tg.save(split_dir / "train_nodes.tsv", split_dir / "train_edges.tsv")
@@ -174,10 +178,10 @@ def cmd_project(args) -> int:
     report = None
     if args.region_type:
         if args.boundaries is None:  # resolved here, so the manifest records it
-            args.boundaries = DEFAULT_BOUNDARIES
+            args.boundaries = _boundaries_text(DEFAULT_BOUNDARIES)
         boundaries = [float(x) for x in args.boundaries.split(",") if x]
         report = asdict(region_stats(g, emb, args.region_type, boundaries))
-    out = _write_manifest(args, "project")
+    out = _write_manifest(args)
     g.save_nodes(out / "projection.tsv", poincare_projection(emb))
     if report is not None:
         print(_write_json(out / "regions.json", report))
@@ -201,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="network-reconstruction AUC report")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--embeddings", action="append", required=True, help="embedding TSV (repeatable)")
     p.add_argument("--edge-type", default=None)
     p.add_argument("--max-neg", type=int, default=DEFAULT_MAX_NEG)
@@ -218,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--region-type", default=None, help="node type for region stats")
-    p.add_argument("--boundaries", default=None,
-                   help=f"with --region-type: band radii, default {DEFAULT_BOUNDARIES}")
+    p.add_argument("--boundaries", default=None, help="with --region-type: band radii, "
+                   f"default {_boundaries_text(DEFAULT_BOUNDARIES)}")
     p.set_defaults(func=cmd_project)
     return parser
 

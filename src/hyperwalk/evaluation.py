@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lorentz
+from . import lorentz, seeding
 from .corpus import index_dtype
 from .graph import EdgeType, GraphError, TypedGraph
 from .trainer import EmbeddingTable
 
 DEFAULT_MAX_NEG = 1_000_000
+DEFAULT_BOUNDARIES = (2.0, 4.0, 6.0)  # region_stats' band radii
 # pairs gathered, scored or tested for edge membership at a time
 BLOCK = 8_192
 
@@ -190,31 +191,22 @@ def _all_non_edges(g: TypedGraph, et: EdgeType) -> np.ndarray:
     return out[:filled]
 
 
-def reconstruct(
-    g: TypedGraph,
-    emb: EmbeddingTable,
-    t,
-    max_neg: int = DEFAULT_MAX_NEG,
-    rng=None,
-) -> AucReport:
+def reconstruct(g: TypedGraph, emb: EmbeddingTable, t, max_neg: int = DEFAULT_MAX_NEG,
+                rng=None) -> AucReport:
     """AUC of true edges of type t against type-compatible non-edges: pairs
     with no edge of any type between them.
 
     Enumerates all non-edges when their count fits max_neg, otherwise takes
-    a uniform sample of max_neg (flagged in the report). Pairs are sampled or
+    a uniform sample of max_neg (flagged in the report), drawn from ``rng``,
+    by default ``seeding.substream(0, seeding.NONEDGES)``. Pairs are sampled or
     enumerated, and scored, in blocks of ``BLOCK``: memory is the O(max_neg)
     pair and score arrays plus O(BLOCK) temporaries.
     """
     return reconstruct_tables(g, [emb], t, max_neg, rng)[0]
 
 
-def reconstruct_tables(
-    g: TypedGraph,
-    tables: list[EmbeddingTable],
-    t,
-    max_neg: int = DEFAULT_MAX_NEG,
-    rng=None,
-) -> list[AucReport]:
+def reconstruct_tables(g: TypedGraph, tables: list[EmbeddingTable], t,
+                       max_neg: int = DEFAULT_MAX_NEG, rng=None) -> list[AucReport]:
     """:func:`reconstruct` of each table, every one scored on the same
     non-edges: one sample (or enumeration) serves them all, so the reports
     equal one ``reconstruct`` call per table, each with a fresh ``rng`` of
@@ -233,7 +225,7 @@ def reconstruct_tables(
     sampled = n_non > max_neg
     if sampled:
         if rng is None:
-            rng = np.random.default_rng(0)
+            rng = seeding.substream(0, seeding.NONEDGES)
         negatives = _sample_non_edges(g, et, max_neg, rng)
     else:
         negatives = _all_non_edges(g, et)
@@ -270,10 +262,11 @@ def _removable(g: TypedGraph, et: EdgeType, edges_t: np.ndarray, order: np.ndarr
     return np.array(joined[len(other) :][::-1], dtype=bool)
 
 
-def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSplit:
+def make_link_split(g: TypedGraph, t, fraction: float, rng) -> LinkSplit:
     """Remove floor(fraction * |E_t|) edges of type t without changing the
     global connected-component count; pair them with equal-count sampled
-    non-edges of the original graph.
+    non-edges of the original graph. ``fraction`` and the generator ``rng``
+    are required; the CLI's --fraction and --seed give them.
 
     Candidates are tried in ``rng.permutation`` order and an edge is removed
     when its endpoints stay connected without it. That greedy is the
@@ -286,8 +279,6 @@ def make_link_split(g: TypedGraph, t, fraction: float = 0.2, rng=None) -> LinkSp
     """
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     et = g.edge_type(t)
     idx_t = np.flatnonzero(g.edge_type_of == et.id)
     edges_t = g.edges[idx_t]
@@ -340,9 +331,8 @@ class RegionReport:
     overflow: RegionBand | None = None
 
 
-def region_stats(
-    g: TypedGraph, emb: EmbeddingTable, t, boundaries=(2.0, 4.0, 6.0)
-) -> RegionReport:
+def region_stats(g: TypedGraph, emb: EmbeddingTable, t,
+                 boundaries=DEFAULT_BOUNDARIES) -> RegionReport:
     """Radial hierarchy bands for one node type.
 
     Each node goes to the first band whose upper boundary is >= its

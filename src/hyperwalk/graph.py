@@ -43,7 +43,8 @@ class EdgeType:
 class TypedGraph:
     """Immutable heterogeneous graph with type-grouped adjacency.
 
-    Self-loops are dropped and duplicate edges collapse to their first occurrence.
+    Self-loops are dropped and duplicate edges collapse to their first occurrence;
+    a label found only on collapsed duplicates names no edge type.
 
     Parameters
     ----------
@@ -105,14 +106,18 @@ class TypedGraph:
                     f"type {label!r}: expected endpoint types {et.endpoint_types}, got {ends}"
                 )
             type_of_combo[j] = et.id
-        self.edge_types: list[EdgeType] = list(types.values())
-        etype = type_of_combo[combo_of_edge]
 
         # dedup on canonical codes, keeping first occurrences in input order
         self._edge_codes, first = np.unique(lo * n + hi, return_index=True)
         first.sort()
         self.edges = np.stack([lo[first], hi[first]], axis=1)
-        self.edge_type_of = etype[first]
+        # a type named only on collapsed duplicates has no edge: keep the kept
+        # edges' types, renumbered in first-seen order
+        etype = type_of_combo[combo_of_edge[first]]
+        used = np.bincount(etype, minlength=len(types)) > 0
+        kept_types = [t for t in types.values() if used[t.id]]
+        self.edge_types = [EdgeType(i, t.endpoint_types, t.label) for i, t in enumerate(kept_types)]
+        self.edge_type_of = (np.cumsum(used) - 1)[etype]
         self.duplicate_edges = len(kept) - len(first)
         self.self_loops_dropped = len(u) - len(kept)
         if self.duplicate_edges or self.self_loops_dropped:

@@ -81,7 +81,8 @@ def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
     type label other than g's for that node, a coordinate that is not a
     number or not finite, or a point off the hyperboloid (time coordinate not
     within a relative 1e-9 of sqrt(1 + |spatial|^2)). A file that leaves a
-    node of g without a row raises GraphError naming the file.
+    node of g without a row raises GraphError naming the file, and rows of
+    fewer than 3 coordinates (dim + 1 with dim >= 2) one naming the first row.
     """
     labels = [g.node_types[t].label for t in g.node_type_of.tolist()]
     seen = np.zeros(g.n_nodes, dtype=bool)
@@ -112,18 +113,18 @@ def load_embeddings_for_graph(path, g: TypedGraph) -> EmbeddingTable:
         missing = np.flatnonzero(~seen)
         raise GraphError(f"{path}: {missing.size} of the graph's {g.n_nodes} nodes have no row, "
                          f"the first {g.node_ids[missing[0]]!r}")
-    table = EmbeddingTable(np.asarray(rows))
-    bad = np.flatnonzero(~np.isfinite(table.coords).all(axis=1))
+    if rows and width < 5:  # an id, a label and dim + 1 coordinates
+        raise GraphError(f"{path}:{linenos[0]}: {width - 2} coordinates, at least 3 needed")
+    coords = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
     if bad.size:
         raise GraphError(f"{path}:{linenos[bad[0]]}: a coordinate is not finite")
     # a relative test: <x,x>_M + 1 cancels catastrophically far from the origin
-    time = lorentz.normalize(table.coords)[:, -1]
-    bad = np.flatnonzero(np.abs(table.coords[:, -1] - time) > 1e-9 * time)
+    time = lorentz.normalize(coords)[:, -1]
+    bad = np.flatnonzero(np.abs(coords[:, -1] - time) > 1e-9 * time)
     if bad.size:
         raise GraphError(f"{path}:{linenos[bad[0]]}: the point is not on the hyperboloid")
-    coords = np.empty_like(table.coords)
-    coords[order] = table.coords
-    return EmbeddingTable(coords)
+    return EmbeddingTable(coords[np.argsort(order)])  # file row i holds node order[i]
 
 
 def init_embeddings(g: TypedGraph, d: int, init_scale: float, rng) -> EmbeddingTable:

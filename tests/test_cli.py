@@ -1,20 +1,24 @@
 """CLI behavior: exit codes, outputs, flag checks, determinism."""
 
 import argparse
+import ast
 import json
 import re
+import shlex
 import shutil
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperwalk import seeding
+from hyperwalk import cli, seeding
 from hyperwalk.cli import build_parser, main
-from hyperwalk.evaluation import make_link_split, reconstruct
+from hyperwalk.evaluation import DEFAULT_BOUNDARIES, DEFAULT_MAX_NEG, make_link_split, reconstruct
 from hyperwalk.graph import TypedGraph, load_graph
 from hyperwalk.synthetic import two_block_graph
-from hyperwalk.trainer import init_embeddings, load_embeddings_for_graph
+from hyperwalk.trainer import TrainConfig, init_embeddings, load_embeddings_for_graph
+from hyperwalk.walk import WalkConfig
 
 
 @pytest.fixture
@@ -87,6 +91,56 @@ def test_each_command_takes_exactly_its_flags():
     # one flag, one settable value
     assert [len(got[c]) for c in want] == [13, 7, 14, 6]
     assert sum(len(flags) for flags in got.values()) == 40
+
+
+def test_flags_for_library_parameters_take_the_library_defaults(graph_files, tmp_path):
+    walk_cfg, train_cfg = WalkConfig(), TrainConfig()
+    library = {"seed": train_cfg.seed, "walks": walk_cfg.walks_per_node,
+               "walk_length": walk_cfg.walk_length, "negatives": train_cfg.negatives_per_positive,
+               "lr": train_cfg.lr, "batch": train_cfg.batch_size, "epochs": train_cfg.epochs}
+    assert walk_cfg.seed == train_cfg.seed
+    parser = build_parser()
+    common = ["--nodes", "n", "--edges", "e"]
+    for argv in (["train"], ["linkpred", "--edge-type", "A-B"]):
+        args = parser.parse_args([*argv, *common])
+        assert {k: getattr(args, k) for k in library} == library
+    args = parser.parse_args(["reconstruct", *common, "--embeddings", "x"])
+    assert (args.seed, args.max_neg) == (train_cfg.seed, DEFAULT_MAX_NEG)
+    # project resolves --boundaries to evaluation's bands, and records them
+    nodes, edges = graph_files
+    g, emb, out = load_graph(nodes, edges), tmp_path / "emb.tsv", tmp_path / "p"
+    g.save_nodes(emb, init_embeddings(g, 2, 1.0, np.random.default_rng(0)).coords)
+    assert main(["project", "--nodes", nodes, "--edges", edges, "--out", str(out),
+                 "--embeddings", str(emb), "--region-type", "A"]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["config"]["boundaries"]
+    assert tuple(float(b) for b in recorded.split(",")) == DEFAULT_BOUNDARIES
+    assert json.loads((out / "regions.json").read_text())["boundaries"] == list(DEFAULT_BOUNDARIES)
+    # the CLI states a literal default only for values no library function defaults
+    literal = {
+        call.args[0].value
+        for call in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument"
+        for kw in call.keywords
+        if kw.arg == "default" and isinstance(kw.value, ast.Constant) and kw.value.value is not None
+    }
+    assert literal == {"--out", "--window", "--dim", "--fraction"}
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``hyperwalk ...`` line in README's bash blocks,
+    ``\\`` continuations joined and the loop variable ``$w`` set."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    return [shlex.split(line.replace("$w", "5"))[1:] for line in lines.splitlines()
+            if line.strip().startswith("hyperwalk ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["train", "reconstruct", "linkpred", "project",
+                                              "linkpred"]
+    for argv in commands:
+        build_parser().parse_args(argv)  # a usage error exits
 
 
 def test_train_writes_embeddings_log_and_manifest(graph_files, tmp_path):
@@ -301,7 +355,7 @@ def test_project_exports_disk_coordinates(graph_files, tmp_path):
         (["reconstruct", "--edge-type", "no-such", "--embeddings", "EMB"],
          "GraphError: unknown edge type 'no-such'"),
         (["reconstruct", "--embeddings", "NODES"],
-         "ValueError: coords must be (n_nodes, dim + 1) with dim >= 2"),
+         "GraphError: NODES:1: 0 coordinates, at least 3 needed"),
         (["train", "--dim", "1"], "ValueError: embedding dimension must be >= 2, got 1"),
         (["train", "--dim", "2,1"], "ValueError: embedding dimension must be >= 2, got 1"),
         (["linkpred", "--edge-type", "A-B", "--dim", "1"],
@@ -333,7 +387,7 @@ def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, m
     paths = {"EMB": str(emb), "NANEMB": str(nan_emb), "NODES": nodes,
              "NODIR": str(tmp_path / "nodir" / "w.txt")}
     argv = [paths.get(a, a) for a in argv]
-    message = message.replace("NANEMB", paths["NANEMB"])
+    message = message.replace("NANEMB", paths["NANEMB"]).replace("NODES", nodes)
     # reconstruct walks and trains nothing, so it takes no pipeline flags;
     # argv comes last, so that its flags override fast_flags()
     flags = [] if argv[0] == "reconstruct" else fast_flags()
@@ -341,6 +395,24 @@ def test_bad_flags_fail_before_any_output(graph_files, tmp_path, capsys, argv, m
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:collapsed")
+def test_a_label_only_on_a_collapsed_duplicate_names_no_edge_type(tmp_path, capsys):
+    nodes, edges, emb = tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "emb.tsv"
+    nodes.write_text("a\tA\nb\tB\nc\tB\nd\tA\n")
+    edges.write_text("a\tb\nb\ta\ty\nd\tc\n")  # b a y collapses into a b
+    g = load_graph(nodes, edges)
+    g.save_nodes(emb, init_embeddings(g, 2, 1.0, np.random.default_rng(0)).coords)
+    out = tmp_path / "r"
+    assert main(["reconstruct", "--nodes", str(nodes), "--edges", str(edges), "--out", str(out),
+                 "--embeddings", str(emb)]) == 0
+    reports = json.loads((out / "reconstruction.json").read_text())
+    assert [(r["edge_type"], r["n_pos"], r["n_neg"]) for r in reports] == [("A-B", 2, 2)]
+    rc = main(["linkpred", "--nodes", str(nodes), "--edges", str(edges), "--out", str(out / "lp"),
+               "--edge-type", "y", "--dim", "2", *fast_flags()])
+    assert rc == 1
+    assert "error: GraphError: unknown edge type 'y'" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging update overflows

@@ -238,6 +238,9 @@ def test_reconstruct_flags_sampled_negatives(rng):
     emb = embed_at(random_points(rng, 8, 3))
     rep = reconstruct(g, emb, "A-B", max_neg=2, rng=rng)  # 12 non-edges exist
     assert rep.negatives_sampled and rep.n_neg == 2
+    # with no rng, the sample is the one of the CLI's reconstruct --seed 0
+    want = reconstruct(g, emb, "A-B", max_neg=11, rng=substream(0, NONEDGES))
+    assert reconstruct(g, emb, "A-B", max_neg=11) == want
 
 
 @pytest.mark.parametrize("max_neg", [0, -5])

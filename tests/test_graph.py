@@ -130,6 +130,17 @@ def test_isolated_node_has_no_neighbors():
     assert neighbors(g, 0).size == 0
 
 
+@pytest.mark.filterwarnings("ignore:collapsed")
+def test_a_label_only_on_collapsed_duplicates_names_no_edge_type():
+    nodes = [("a", "A"), ("b", "B"), ("c", "B"), ("d", "A")]
+    g = TypedGraph(nodes, [(0, 1), (1, 0, "y"), (2, 3, "z"), (3, 2)])
+    assert [(t.id, t.endpoint_types, t.label) for t in g.edge_types] == [(0, (0, 1), "A-B"),
+                                                                          (1, (0, 1), "z")]
+    assert g.edge_type_of.tolist() == [0, 1]
+    with pytest.raises(GraphError, match="contradicts edge type 'y'"):  # still checked
+        TypedGraph(nodes, [(0, 1), (1, 0, "y"), (0, 3, "y")])
+
+
 # --- reference builder ----------------------------------------------------
 
 
@@ -179,10 +190,14 @@ def reference_build(nodes, edges):
         grouped[v].setdefault(node_type_of[u], []).append(u)
     if dups or loops:
         warnings.warn(f"collapsed {dups} duplicate edge(s), dropped {loops} self-loop(s)")
+    # a type named only on collapsed duplicates has no edge: ids are first-seen
+    # order, so sorting the kept edges' ids renumbers them in that order
+    new_id = {tid: i for i, tid in enumerate(sorted(set(canon.values())))}
     return {
         "edges": [list(k) for k in canon],
-        "edge_type_of": list(canon.values()),
-        "edge_types": [(i, pair, label) for label, (i, pair) in edge_types.items()],
+        "edge_type_of": [new_id[tid] for tid in canon.values()],
+        "edge_types": [(new_id[i], pair, label) for label, (i, pair) in edge_types.items()
+                       if i in new_id],
         "duplicate_edges": dups,
         "self_loops_dropped": loops,
         "groups": [list(g.items()) for g in grouped],
