@@ -246,16 +246,13 @@ def _removable(g: TypedGraph, et: EdgeType, edges_t: np.ndarray, order: np.ndarr
     """
     other = g.edges[g.edge_type_of != et.id]
     parent = list(range(g.n_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     joined = []
-    for u, v in np.concatenate([other, edges_t[order[::-1]]]).tolist():
-        a, b = find(u), find(v)
+    for a, b in np.concatenate([other, edges_t[order[::-1]]]).tolist():
+        # each endpoint's root, halving its path; inline, as a call per endpoint costs more
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         joined.append(a == b)
         if a != b:
             parent[a] = b
@@ -291,12 +288,7 @@ def make_link_split(g: TypedGraph, t, fraction: float, rng) -> LinkSplit:
         warning = f"only {len(removed)} of {target} edges removable without splitting components"
     keep = np.ones(g.n_edges, dtype=bool)
     keep[idx_t[taken]] = False
-    nodes = [(nid, g.node_types[t_].label) for nid, t_ in zip(g.node_ids, g.node_type_of)]
-    kept = [
-        (u, v, g.edge_types[te].label)
-        for (u, v), te in zip(g.edges[keep].tolist(), g.edge_type_of[keep].tolist())
-    ]
-    train_graph = TypedGraph(nodes, kept)
+    train_graph = g.edge_subgraph(keep)
     non_edges = _sample_non_edges(g, et, len(removed), rng)
     return LinkSplit(
         train_graph=train_graph,

@@ -3,7 +3,10 @@
 Nodes carry a type (author, paper, ...); edges are undirected and get an
 edge type inferred from the unordered pair of endpoint types unless an
 explicit edge-type label is supplied. Node ids are opaque strings
-externally and dense integers internally.
+externally and dense integers internally. One array core builds every graph
+from index and label-code arrays: ``TypedGraph(nodes, edges)`` turns its tuples
+into them, ``load_graph`` reads each file in one pass straight into them, and
+``TypedGraph.edge_subgraph`` takes them from a graph's own arrays.
 
 ``adjacency`` holds both directions of every edge, sorted by (node, neighbor type),
 in edge order within a group. With T node types, node v's neighbors of type t are
@@ -54,27 +57,33 @@ class TypedGraph:
     """
 
     def __init__(self, nodes, edges):
-        self.node_ids: list[str] = []
-        self._index_of: dict[str, int] = {}
-        type_id: dict[str, int] = {}
-        node_type_ids = []
+        node_ids, index_of, type_id, node_type_of = [], {}, {}, []
         for node_id, label in nodes:
-            if node_id in self._index_of:
+            if index_of.setdefault(node_id, len(node_ids)) != len(node_ids):
                 raise GraphError(f"duplicate node id {node_id!r}")
-            self._index_of[node_id] = len(self.node_ids)
-            self.node_ids.append(node_id)
-            node_type_ids.append(type_id.setdefault(label, len(type_id)))
-        self.node_types = [NodeType(i, label) for label, i in type_id.items()]
-        self.node_type_of = np.asarray(node_type_ids, dtype=np.int64)
-
-        # the only per-edge Python: read the caller's tuples, numbering their labels
-        # (None, meaning "infer", among them) in first-seen order
-        code_of_label: dict = {}
-        rows = [
-            (e[0], e[1], code_of_label.setdefault(e[2] if len(e) > 2 else None, len(code_of_label)))
-            for e in edges
-        ]
+            node_ids.append(node_id)
+            node_type_of.append(type_id.setdefault(label, len(type_id)))
+        codes: dict = {}  # edge label -> code, None ("infer") among them, in first-seen order
+        rows = [(e[0], e[1], codes.setdefault(e[2] if len(e) > 2 else None, len(codes)))
+                for e in edges]
         u, v, label_code = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+        self._build(node_ids, index_of, list(type_id), node_type_of, u, v, label_code, list(codes))
+
+    @classmethod
+    def _from_arrays(cls, *core) -> TypedGraph:
+        g = cls.__new__(cls)
+        g._build(*core)
+        return g
+
+    def _build(self, node_ids, index_of, type_labels, node_type_of, u, v, label_code, labels):
+        """The array core that builds every graph. Node i is ``node_ids[i]``
+        (``index_of`` inverts it) of type ``type_labels[node_type_of[i]]``; edge
+        j joins node indices u[j] and v[j] under ``labels[label_code[j]]``, None
+        meaning "infer". Index and code sequences are read as int64 arrays."""
+        self.node_ids, self._index_of = node_ids, index_of
+        self.node_types = [NodeType(i, label) for i, label in enumerate(type_labels)]
+        self.node_type_of = np.asarray(node_type_of, dtype=np.int64)
+        u, v, label_code = (np.asarray(a, dtype=np.int64) for a in (u, v, label_code))
         n = len(self.node_ids)
         bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
         if bad.size:
@@ -87,7 +96,6 @@ class TypedGraph:
 
         # name each distinct (label, type pair) in first-seen order; None takes the
         # pair's label, and a label met again with another pair contradicts its type
-        raw_labels = list(code_of_label)
         combo = label_code[kept] * n_types**2 + pair
         combos, combo_first, combo_of_edge = np.unique(combo, return_index=True, return_inverse=True)
         type_of_combo = np.empty(combos.size, dtype=np.int64)
@@ -95,7 +103,7 @@ class TypedGraph:
         for j in np.argsort(combo_first).tolist():
             code, p = divmod(int(combos[j]), n_types**2)
             ends = divmod(p, n_types)
-            label = raw_labels[code]
+            label = labels[code]
             if label is None:
                 label = f"{self.node_types[ends[0]].label}-{self.node_types[ends[1]].label}"
             et = types.setdefault(label, EdgeType(len(types), ends, label))
@@ -124,7 +132,7 @@ class TypedGraph:
             warnings.warn(
                 f"collapsed {self.duplicate_edges} duplicate edge(s), dropped "
                 f"{self.self_loops_dropped} self-loop(s)",
-                stacklevel=2,
+                stacklevel=3,  # the caller of __init__ or _from_arrays
             )
 
         # type-grouped adjacency: both directions of every edge, stably sorted
@@ -134,6 +142,14 @@ class TypedGraph:
         key = self.edges.ravel() * n_types + self.node_type_of[nbr]
         self.adjacency = nbr[np.argsort(key, kind="stable")]
         self.type_offsets = np.concatenate([[0], np.bincount(key, minlength=n * n_types).cumsum()])
+
+    def edge_subgraph(self, keep) -> TypedGraph:
+        """This graph's nodes, sharing its id list and dict, with the edges
+        ``edges[keep]`` and their labels; types left without an edge are dropped."""
+        u, v = self.edges[keep].T
+        return TypedGraph._from_arrays(
+            self.node_ids, self._index_of, [t.label for t in self.node_types], self.node_type_of,
+            u, v, self.edge_type_of[keep], [t.label for t in self.edge_types])
 
     @property
     def n_nodes(self) -> int:
@@ -220,36 +236,42 @@ def _parse_tsv(path):
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split("\t")
+            if line and line[0] != "#":
+                yield lineno, line.split("\t")
 
 
 def load_graph(nodes_file, edges_file) -> TypedGraph:
-    """Load a TypedGraph from node/edge TSV files.
+    """Load a TypedGraph from node/edge TSV files, reading each in one pass.
 
     Nodes: ``node_id<TAB>type_label``. Edges: ``src<TAB>dst[<TAB>edge_label]``.
-    Lines starting with ``#`` are skipped and fields are read stripped.
-    Duplicate edges are collapsed with a warning. A line with the wrong field
-    count or a blank field, and an unknown node id, raise GraphError naming
-    the line; a repeated node id raises GraphError naming the id.
+    Lines starting with ``#`` are skipped and fields are read stripped. Node
+    rows are numbered as they are read; edge rows go straight into the index
+    and label-code arrays of ``TypedGraph``'s array core, with no per-edge
+    tuple. Duplicate edges are collapsed with a warning. A line with the
+    wrong field count or a blank field, a repeated node id and an unknown
+    node id raise GraphError naming the line; the node file is checked before
+    the edge file is read.
     """
-    nodes = []
+    node_ids, index_of, type_id, node_type_of = [], {}, {}, []
     for lineno, fields in _parse_tsv(nodes_file):
         nid, label = fields[0].strip(), fields[-1].strip()
         if len(fields) != 2 or not nid or not label:
             raise GraphError(f"{nodes_file}:{lineno}: malformed node line")
-        nodes.append((nid, label))
-    index = {nid: i for i, (nid, _) in enumerate(nodes)}
-    edges = []
+        if index_of.setdefault(nid, len(node_ids)) != len(node_ids):
+            raise GraphError(f"{nodes_file}:{lineno}: repeated node id {nid!r}")
+        node_ids.append(nid)
+        node_type_of.append(type_id.setdefault(label, len(type_id)))
+    ends, label_code, codes = [], [], {None: 0}
     for lineno, fields in _parse_tsv(edges_file):
         src, dst = fields[0].strip(), (fields[1].strip() if len(fields) > 1 else "")
         if len(fields) not in (2, 3) or not src or not dst:
             raise GraphError(f"{edges_file}:{lineno}: malformed edge line")
-        for nid in (src, dst):
-            if nid not in index:
-                raise GraphError(f"{edges_file}:{lineno}: unknown node id {nid!r}")
-        # the last field of a line never strips to empty: _parse_tsv rstrips it
-        label = fields[2].strip() if len(fields) == 3 else None
-        edges.append((index[src], index[dst], label))
-    return TypedGraph(nodes, edges)
+        try:
+            ends += index_of[src], index_of[dst]
+        except KeyError as exc:
+            raise GraphError(f"{edges_file}:{lineno}: unknown node id {exc.args[0]!r}") from None
+        # code 0 is None, "infer"; a last field never strips to empty, as _parse_tsv rstrips it
+        label_code.append(codes.setdefault(fields[2].strip(), len(codes)) if len(fields) == 3 else 0)
+    u, v = np.asarray(ends, dtype=np.int64).reshape(-1, 2).T
+    return TypedGraph._from_arrays(node_ids, index_of, list(type_id), node_type_of, u, v,
+                                   label_code, list(codes))

@@ -52,6 +52,18 @@ def neighbors(g: TypedGraph, v: int) -> np.ndarray:
     return g.adjacency[lo:hi]
 
 
+def assert_same_graph(a: TypedGraph, b: TypedGraph) -> None:
+    """Every attribute of a equals b's: arrays in shape, values and dtype,
+    everything else (id lists and dicts, type lists, counts) by ==."""
+    assert vars(a).keys() == vars(b).keys()
+    for name, x in vars(a).items():
+        y = vars(b)[name]
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        else:
+            assert x == y, name
+
+
 def walks_of(lists) -> Walks:
     """Lists of node indices as a Walks matrix, each row padded with -1."""
     matrix = np.full((len(lists), max(map(len, lists), default=0)), -1, dtype=np.int32)

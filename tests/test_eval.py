@@ -30,7 +30,7 @@ from hyperwalk.graph import GraphError, TypedGraph
 from hyperwalk.seeding import NONEDGES, substream
 from hyperwalk.synthetic import dblp_shaped_graph, two_block_graph
 from hyperwalk.trainer import INIT_SCALE, EmbeddingTable, init_embeddings
-from tests.conftest import neighbors, random_points
+from tests.conftest import assert_same_graph, neighbors, random_points
 
 
 def brute_force_auc(pos, neg):
@@ -628,6 +628,43 @@ def test_split_matches_reference_on_planted_graph():
     g = two_block_graph(np.random.default_rng(0))
     split = assert_split_matches_reference(g, "A-B", 0.2, 0)
     assert len(split.removed_edges) == int(0.2 * len(g.edges_of_type("A-B")))
+
+
+def tuple_rebuild(g, keep):
+    """``edge_subgraph`` as first written in ``make_link_split``: g's nodes and
+    the kept edges, as (u, v, label) tuples, through ``TypedGraph``."""
+    nodes = [(nid, g.node_types[t].label) for nid, t in zip(g.node_ids, g.node_type_of)]
+    kept = [
+        (u, v, g.edge_types[te].label)
+        for (u, v), te in zip(g.edges[keep].tolist(), g.edge_type_of[keep].tolist())
+    ]
+    return TypedGraph(nodes, kept)
+
+
+@pytest.mark.parametrize("graph", ["planted", "bridged"])
+def test_split_train_graph_equals_the_tuple_rebuild(graph):
+    if graph == "planted":
+        g = two_block_graph(np.random.default_rng(0))
+        fraction, types_left = 0.2, ["A-B", "B-C"]
+    else:
+        # every A-B edge is removable, so A-B is dropped and the others renumbered
+        nodes = [("a0", "A"), ("a1", "A"), ("b0", "B"), ("b1", "B"), ("c0", "C")]
+        g = TypedGraph(nodes, [(0, 2), (1, 2), (1, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+        fraction, types_left = 1.0, ["A-C", "B-C"]
+    split = make_link_split(g, "A-B", fraction, rng=np.random.default_rng(0))
+    gone = set(map(tuple, split.removed_edges.tolist()))
+    keep = np.array([e not in gone for e in map(tuple, g.edges.tolist())])
+    assert (~keep).sum() == len(split.removed_edges) > 0
+    assert [t.label for t in split.train_graph.edge_types] == types_left
+    assert_same_graph(split.train_graph, tuple_rebuild(g, keep))
+
+
+@given(g=typed_graphs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_edge_subgraph_equals_the_tuple_rebuild(g, data):
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=g.n_edges, max_size=g.n_edges)),
+                    dtype=bool)
+    assert_same_graph(g.edge_subgraph(keep), tuple_rebuild(g, keep))
 
 
 def component_removable(g, et, edges_t, order):

@@ -1,6 +1,8 @@
 """Typed graph container: construction, lookups, persistence."""
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperwalk.graph import GraphError, TypedGraph, load_graph
-from tests.conftest import neighbors
+from tests.conftest import assert_same_graph, neighbors
 
 
 def test_basic_counts(tiny_hetero):
@@ -98,10 +100,15 @@ def test_rejects_bad_edges():
 
 def test_load_graph_rejects_a_repeated_node_id(tmp_path):
     nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
-    nodes.write_text("a\tA\nb\tB\na\tA\n")
+    nodes.write_text("a\tA\nb\tB\n# c\n a \tA\n")
     edges.write_text("a\tb\n")
-    with pytest.raises(GraphError, match="duplicate node id 'a'"):
+    with pytest.raises(GraphError) as e:
         load_graph(nodes, edges)
+    assert str(e.value) == f"{nodes}:4: repeated node id 'a'"
+    # the node file is checked whole before the edge file is read
+    with pytest.raises(GraphError) as e:
+        load_graph(nodes, tmp_path / "missing.tsv")
+    assert str(e.value) == f"{nodes}:4: repeated node id 'a'"
 
 
 @pytest.mark.parametrize("name, text, lineno, message", [
@@ -292,3 +299,62 @@ def test_array_build_matches_the_per_edge_builder(case, data):
     ref_msg, _ = build(reference_build, nodes, faulty)
     msg, _ = build(TypedGraph, nodes, faulty)
     assert isinstance(ref_msg, str) and msg == ref_msg
+
+
+# --- load_graph against the tuple constructor -----------------------------
+
+
+def load_tsv(nodes, edges, directory):
+    """load_graph on node and edge files holding ``nodes`` and ``edges``,
+    ``(node_id, type_label)`` pairs and ``(u, v[, label])`` index tuples;
+    a label of None is written as no third field."""
+    nodes_file, edges_file = Path(directory) / "nodes.tsv", Path(directory) / "edges.tsv"
+    nodes_file.write_text("".join(f"{nid}\t{label}\n" for nid, label in nodes))
+    rows = [[nodes[e[0]][0], nodes[e[1]][0], *[lab for lab in e[2:] if lab is not None]]
+            for e in edges]
+    edges_file.write_text("".join("\t".join(row) + "\n" for row in rows))
+    return load_graph(nodes_file, edges_file)
+
+
+def test_load_graph_equals_the_tuple_constructor(tmp_path):
+    nodes_file, edges_file = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    nodes_file.write_text(
+        "# id\ttype\n"
+        "a1\tauthor\n"
+        "  p1 \t paper\n"
+        "\n"
+        "a2\tauthor  \n"
+        "p2\tpaper\n"
+        "v1\tvenue\n"
+    )
+    edges_file.write_text(
+        "# src\tdst\tlabel\n"
+        "a1\tp1\n"
+        " p1\ta1 \twrites\n"  # a duplicate, the other way round, under another label
+        "a2\tp1\t writes\n"
+        "\n"
+        "p1\tv1\tpublished_at\n"
+        "v1 \tp1\t venue-paper \n"  # a duplicate whose label names no edge
+        "p2\tp2\n"  # a self-loop
+        "a1\tp2\tauthor-paper\n"  # the inferred label, written out
+        "p2\tv1\n"
+    )
+    nodes = [("a1", "author"), ("p1", "paper"), ("a2", "author"), ("p2", "paper"), ("v1", "venue")]
+    edges = [(0, 1), (1, 0, "writes"), (2, 1, "writes"), (1, 4, "published_at"),
+             (4, 1, "venue-paper"), (3, 3), (0, 3, "author-paper"), (3, 4, None)]
+    loaded, load_warnings = build(lambda n, e: load_graph(nodes_file, edges_file), nodes, edges)
+    want, want_warnings = build(TypedGraph, nodes, edges)
+    assert load_warnings == want_warnings == ["collapsed 2 duplicate edge(s), dropped 1 self-loop(s)"]
+    assert [t.label for t in want.edge_types] == ["author-paper", "writes", "published_at", "paper-venue"]
+    assert_same_graph(loaded, want)
+
+
+@given(case=typed_edge_lists())
+@settings(max_examples=100, deadline=None)
+def test_load_graph_equals_the_tuple_constructor_on_random_graphs(case):
+    nodes, edges = case
+    with tempfile.TemporaryDirectory() as directory:
+        loaded, load_warnings = build(lambda n, e: load_tsv(n, e, directory), nodes, edges)
+    want, want_warnings = build(TypedGraph, nodes, edges)
+    assert load_warnings == want_warnings
+    assert_same_graph(loaded, want)
