@@ -4,7 +4,7 @@ A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
 :func:`build_corpus` takes the pairs straight from the padded walk matrix
 of a :class:`~hyperwalk.walk.Walks`, one window offset at a time, into one
-preallocated pair array: about 9M pairs in 0.2 s from 1 x 40 walks on the
+preallocated pair array: about 9M pairs in 0.09 s from 1 x 40 walks on the
 DBLP-shaped graph. The pairs are node indices at the narrowest width the
 graph allows (:func:`index_dtype`): uint16, 4 bytes a pair, up to 65,536
 nodes, else int32, 8 bytes a pair. The trainer draws pair indices from
@@ -32,8 +32,8 @@ NOISE_EXPONENT = 0.75
 
 # most nodes a corpus indexes: pairs are at most int32
 INDEX_MAX = np.iinfo(np.int32).max
-# least pair entries node_freq counts at a time: bincount's int64 copy of a
-# chunk takes 512 KB, or as much as the n_nodes-long counts each call returns
+# least pair entries or walk positions node_freq counts at a time: bincount's
+# int64 copy of a chunk takes 512 KB, or as much as the n_nodes-long counts it returns
 FREQ_CHUNK = 1 << 16
 
 
@@ -81,7 +81,7 @@ class SampleCorpus:
     ``[0, n_nodes)`` and ``n_nodes`` must fit in int32, else ValueError.
     """
 
-    def __init__(self, pairs: np.ndarray, n_nodes: int):
+    def __init__(self, pairs: np.ndarray, n_nodes: int, _node_freq: np.ndarray | None = None):
         pairs = np.asarray(pairs).reshape(-1, 2)
         self.n_nodes = int(n_nodes)
         if not 0 <= self.n_nodes <= INDEX_MAX:
@@ -93,13 +93,15 @@ class SampleCorpus:
                 bad = lo if lo < 0 else hi
                 raise ValueError(f"pair entry {bad} is not a node index in [0, {self.n_nodes})")
         self.pairs = pairs.astype(index_dtype(self.n_nodes), copy=False)
-        # bincount copies its input to int64, so count a chunk at a time; a
-        # chunk at least n_nodes long keeps the per-call counts from dominating
-        flat = self.pairs.ravel()
-        self.node_freq = np.zeros(self.n_nodes, dtype=np.int64)
-        chunk = max(FREQ_CHUNK, self.n_nodes)
-        for at in range(0, flat.size, chunk):
-            self.node_freq += np.bincount(flat[at : at + chunk], minlength=self.n_nodes)
+        self.node_freq = _node_freq  # build_corpus counts it from the walks
+        if _node_freq is None:
+            # bincount copies its input to int64, so count a chunk at a time; a
+            # chunk at least n_nodes long keeps the per-call counts from dominating
+            flat = self.pairs.ravel()
+            self.node_freq = np.zeros(self.n_nodes, dtype=np.int64)
+            chunk = max(FREQ_CHUNK, self.n_nodes)
+            for at in range(0, flat.size, chunk):
+                self.node_freq += np.bincount(flat[at : at + chunk], minlength=self.n_nodes)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -117,11 +119,12 @@ def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
     emits ordered pairs (v_i, v_j) for every j != i with |i - j| <= window;
     revisit self-pairs (v, v) are dropped. Pairs come in the order (offset
     j - i, direction: forward (v_i, v_j) then reverse (v_j, v_i), walk,
-    position i). Each offset's mask over the walk matrix is made twice,
-    once to count the pairs and once to write them into one preallocated
-    ``(P, 2)`` array of ``index_dtype(n_nodes)``, so one mask and one
-    gathered column are held at a time. A walk node outside
-    ``[0, n_nodes)`` is a ValueError.
+    position i). Each offset's mask over the walk matrix is made twice:
+    a block of rows at a time, to count the pairs and the pairs each walk
+    position is in (so ``node_freq`` needs no pass over the pairs), and whole,
+    to write them into one preallocated ``(P, 2)`` array of
+    ``index_dtype(n_nodes)``, so one mask and one gathered column are held at
+    a time. A walk node outside ``[0, n_nodes)`` is a ValueError.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -131,7 +134,21 @@ def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
     if top >= n_nodes:
         raise ValueError(f"walk node {top} is not a node index in [0, {n_nodes})")
     offsets = range(1, min(window, m.shape[1] - 1) + 1)  # offsets that fit in a row
-    counts = [np.count_nonzero(_keep(m, o)) for o in offsets]
+    # count pass, a block of rows at a time: each offset's kept pairs, and how
+    # many kept pairs each walk position is in, at most 2 * len(offsets)
+    counts = [0] * len(offsets)
+    freq = np.zeros(n_nodes)  # float64 sums of integers: exact below 2**53
+    rows = max(1, max(FREQ_CHUNK, n_nodes) // max(m.shape[1], 1))
+    for at in range(0, len(m), rows):
+        block = m[at : at + rows]
+        in_pairs = np.zeros(block.shape, dtype=np.min_scalar_type(2 * len(offsets)))
+        for k, o in enumerate(offsets):
+            keep = _keep(block, o)
+            counts[k] += int(np.count_nonzero(keep))
+            in_pairs[:, :-o] += keep
+            in_pairs[:, o:] += keep
+        # padding is in no pair, so its weight 0 may fall on node 0
+        freq += np.bincount(np.maximum(block, 0).ravel(), in_pairs.ravel(), minlength=n_nodes)
     pairs = np.empty((2 * sum(counts), 2), dtype=index_dtype(n_nodes))
     at = 0
     for o, n in zip(offsets, counts):
@@ -139,7 +156,7 @@ def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
         for col, side in enumerate((m[:, :-o], m[:, o:])):
             pairs[at : at + n, col] = pairs[at + n : at + 2 * n, 1 - col] = side[keep]
         at += 2 * n
-    return SampleCorpus(pairs, n_nodes)
+    return SampleCorpus(pairs, n_nodes, 2 * freq.astype(np.int64))  # both directions
 
 
 def _keep(m: np.ndarray, o: int) -> np.ndarray:

@@ -70,16 +70,18 @@ class TypedGraph:
         self._build(node_ids, index_of, list(type_id), node_type_of, u, v, label_code, list(codes))
 
     @classmethod
-    def _from_arrays(cls, *core) -> TypedGraph:
+    def _from_arrays(cls, *core, by_code=False) -> TypedGraph:
         g = cls.__new__(cls)
-        g._build(*core)
+        g._build(*core, by_code=by_code)
         return g
 
-    def _build(self, node_ids, index_of, type_labels, node_type_of, u, v, label_code, labels):
+    def _build(self, node_ids, index_of, type_labels, node_type_of, u, v, label_code, labels,
+               by_code=False):
         """The array core that builds every graph. Node i is ``node_ids[i]``
         (``index_of`` inverts it) of type ``type_labels[node_type_of[i]]``; edge
         j joins node indices u[j] and v[j] under ``labels[label_code[j]]``, None
-        meaning "infer". Index and code sequences are read as int64 arrays."""
+        meaning "infer". Index and code sequences are read as int64 arrays. Edge
+        types are numbered in first-seen order, or in code order ``by_code``."""
         self.node_ids, self._index_of = node_ids, index_of
         self.node_types = [NodeType(i, label) for i, label in enumerate(type_labels)]
         self.node_type_of = np.asarray(node_type_of, dtype=np.int64)
@@ -94,13 +96,14 @@ class TypedGraph:
         t_lo, t_hi = self.node_type_of[lo], self.node_type_of[hi]
         pair = np.minimum(t_lo, t_hi) * n_types + np.maximum(t_lo, t_hi)
 
-        # name each distinct (label, type pair) in first-seen order; None takes the
-        # pair's label, and a label met again with another pair contradicts its type
+        # name each distinct (label, type pair) in first-seen order, or in np.unique's
+        # (by code); None takes the pair's label, and a label met again with another
+        # pair contradicts its type
         combo = label_code[kept] * n_types**2 + pair
         combos, combo_first, combo_of_edge = np.unique(combo, return_index=True, return_inverse=True)
         type_of_combo = np.empty(combos.size, dtype=np.int64)
         types: dict[str, EdgeType] = {}
-        for j in np.argsort(combo_first).tolist():
+        for j in range(combos.size) if by_code else np.argsort(combo_first).tolist():
             code, p = divmod(int(combos[j]), n_types**2)
             ends = divmod(p, n_types)
             label = labels[code]
@@ -120,7 +123,7 @@ class TypedGraph:
         first.sort()
         self.edges = np.stack([lo[first], hi[first]], axis=1)
         # a type named only on collapsed duplicates has no edge: keep the kept
-        # edges' types, renumbered in first-seen order
+        # edges' types, renumbered in their order
         etype = type_of_combo[combo_of_edge[first]]
         used = np.bincount(etype, minlength=len(types)) > 0
         kept_types = [t for t in types.values() if used[t.id]]
@@ -145,11 +148,12 @@ class TypedGraph:
 
     def edge_subgraph(self, keep) -> TypedGraph:
         """This graph's nodes, sharing its id list and dict, with the edges
-        ``edges[keep]`` and their labels; types left without an edge are dropped."""
+        ``edges[keep]`` and their types, numbered in this graph's order: types
+        left without an edge are dropped, and the rest keep their order."""
         u, v = self.edges[keep].T
         return TypedGraph._from_arrays(
             self.node_ids, self._index_of, [t.label for t in self.node_types], self.node_type_of,
-            u, v, self.edge_type_of[keep], [t.label for t in self.edge_types])
+            u, v, self.edge_type_of[keep], [t.label for t in self.edge_types], by_code=True)
 
     @property
     def n_nodes(self) -> int:
@@ -221,8 +225,10 @@ class TypedGraph:
 
 
 def _find_type(types: list, cls: type, kind: str, label_or_id):
-    """The type in ``types`` given as an instance of cls, a label or an id."""
+    """The type in ``types`` given as one of its instances of cls, a label or an id."""
     if isinstance(label_or_id, cls):
+        if label_or_id not in types:
+            raise GraphError(f"{label_or_id} is not one of this graph's {kind} types")
         return label_or_id
     if isinstance(label_or_id, str):
         for t in types:

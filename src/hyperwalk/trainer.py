@@ -138,11 +138,13 @@ def init_embeddings(g: TypedGraph, d: int, init_scale: float, rng) -> EmbeddingT
     return EmbeddingTable(coords)
 
 
-def _sq_dist_grad_factor(d: np.ndarray) -> np.ndarray:
+def _sq_dist_grad_factor(d: np.ndarray, out=None) -> np.ndarray:
     # d(d^2)/dx = factor * (-y) with factor = 2 d / sinh d; finite limit 2 at d = 0
     small = d < 1e-7
     safe = np.where(small, 1.0, d)
-    return np.where(small, 2.0, 2.0 * safe / np.sinh(safe))
+    f = np.divide(np.multiply(2.0, safe, out=out), np.sinh(safe, out=safe), out=out)
+    np.copyto(f, 2.0, where=small)
+    return f
 
 
 def _pair_terms(U: np.ndarray, W: np.ndarray):
@@ -155,17 +157,18 @@ def _pair_terms(U: np.ndarray, W: np.ndarray):
     that give the candidates' gradients: candidate (b, k)'s is
     ``-c[b, k] * U[:, b]``.
     """
-    inner = np.einsum("db,dbk->bk", U[:-1], W[:-1]) - U[-1][:, None] * W[-1]
-    a = np.clip(-inner, 1.0, None)
-    d = lorentz._arccosh(a)
-    s = -d * d
+    # in place wherever a plain expression would hold one more (B, K) array at
+    # once; the same operations in the same order, so the same bits
+    t = np.einsum("db,dbk->bk", U[:-1], W[:-1])
+    t -= U[-1][:, None] * W[-1]  # the inner products
+    d = lorentz._arccosh(np.clip(np.negative(t, out=t), 1.0, None, out=t))
+    s = np.multiply(np.negative(d, out=t), d, out=t)  # -d * d
     m = s.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.sum(np.exp(s - m), axis=1))
     loss = lse - s[:, 0]
-    p = np.exp(s - lse[:, None])
-    coeff = -p
-    coeff[:, 0] += 1.0  # d loss / d (d^2) per candidate
-    c = coeff * _sq_dist_grad_factor(d)
+    c = -np.exp(s - lse[:, None])  # minus the weights p
+    c[:, 0] += 1.0  # d loss / d (d^2) per candidate
+    c *= _sq_dist_grad_factor(d, out=s)
     grad_u = -np.einsum("bk,dbk->db", c, W)
     return loss, grad_u, -c
 

@@ -14,7 +14,7 @@ N_t, and the graph's ``type_offsets`` table locates the neighbors of each
 (node, type). All draws come from one ``substream(seed, WALKS)``. The
 result is a :class:`Walks`, one ``(W, L)`` int32 matrix padded with -1 that
 reads like a list of walks. On the 28,871-node DBLP-shaped graph (1x40
-walks) the walker makes about 4.5-5.5M steps/s on one core of a 2-core
+walks) the walker makes about 7-12M steps/s on one core of a 2-core
 machine, against about 150k for a walker that steps one walk at a time in
 Python.
 """
@@ -84,20 +84,24 @@ def step(g: TypedGraph, nodes: np.ndarray, counts: np.ndarray, rng) -> np.ndarra
     """
     # type-major (T, walkers) arrays: the reductions over types run as
     # elementwise operations on whole rows of walkers
-    n_types = counts.shape[1]
-    bounds = g.type_offsets[nodes * n_types + np.arange(n_types + 1)[:, None]]
+    n_types, n = counts.shape[1], len(nodes)
+    bounds = np.take(g.type_offsets, nodes * n_types + np.arange(n_types + 1)[:, None])
     sizes = np.diff(bounds, axis=0)
-    # an absent type counts +inf, so its weight is exp(-inf) = 0
-    masked = np.where(sizes > 0, counts.T, np.inf)
-    cum = np.exp(masked.min(axis=0) - masked).cumsum(axis=0)
+    present = sizes > 0
+    # an absent type counts +inf, so its weight is exp(-inf) = 0: left at 0
+    # here, as NumPy's exp is slow on -inf
+    masked = np.where(present, counts.T, np.inf)
+    cum = np.exp(masked.min(axis=0) - masked, out=np.zeros(sizes.shape), where=present)
+    for k in range(1, n_types):  # cumsum(axis=0), whose per-walker loops are slow
+        np.add(cum[k - 1], cum[k], out=cum[k])
     # the least-counted present type weighs 1, so the total is >= 1 and
     # u * total < total for u < 1 under round-to-nearest: r never selects
     # a type past the last present one, and a type of weight 0 is skipped
-    r = rng.random(len(nodes)) * cum[-1]
+    r = rng.random(n) * cum[-1]
     t = np.count_nonzero(cum <= r, axis=0)
-    walkers = np.arange(len(nodes))
-    counts[walkers, t] += 1
-    return g.adjacency[bounds[t, walkers] + rng.integers(sizes[t, walkers])]
+    np.add(counts.T, t == np.arange(n_types)[:, None], out=counts.T)  # any memory order
+    pick = t * n + np.arange(n)  # (t, walker) in the flat (T, walkers) arrays
+    return g.adjacency[np.take(bounds, pick) + rng.integers(np.take(sizes, pick))]
 
 
 def generate_walks(g: TypedGraph, cfg: WalkConfig) -> Walks:

@@ -1,6 +1,7 @@
 """Sliding-window pair corpus and the alias table for noise negatives."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ def test_corpus_build_traces_at_most_5_bytes_a_pair():
     assert len(c) > 4_000_000
     assert c.pairs.dtype == np.uint16
     assert peak / len(c) <= 5
-    # node_freq counted over several chunks
+    # node_freq counted from the walk matrix, over several blocks of rows
     assert np.array_equal(c.node_freq, np.bincount(c.pairs.ravel(), minlength=g.n_nodes))
 
 
@@ -220,3 +221,25 @@ def test_build_corpus_matches_the_per_walk_reference(walks, window):
     assert c.pairs.dtype == index_dtype(5) == np.uint16
     assert np.array_equal(c.pairs, want)
     assert np.array_equal(c.node_freq, np.bincount(want.ravel(), minlength=5))
+
+
+@given(walks=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=80), max_size=6),
+       window=st.sampled_from([1, 2, 5, 64, 79, 100]), chunk=st.sampled_from([1, 50, 1 << 16]))
+@settings(max_examples=100, deadline=None)
+def test_node_freq_from_the_walks_equals_the_count_over_pairs(walks, window, chunk):
+    # a small FREQ_CHUNK counts the walk matrix a row or a few at a time
+    with mock.patch("hyperwalk.corpus.FREQ_CHUNK", chunk):
+        c = build_corpus(walks_of(walks), window=window, n_nodes=10)
+    want = np.bincount(c.pairs.ravel(), minlength=10)
+    assert c.node_freq.dtype == np.int64 and np.array_equal(c.node_freq, want)
+    assert np.array_equal(SampleCorpus(c.pairs, 10).node_freq, want)
+
+
+@pytest.mark.parametrize("length, window", [(80, 64), (80, 79), (300, 200), (300, 299)])
+def test_node_freq_counts_positions_in_more_pairs_than_a_byte_holds(length, window):
+    # a middle position of a walk of distinct nodes is in up to length - 1
+    # pairs, 299 at length 300: past int8 and uint8
+    c = build_corpus(walks_of([list(range(length))] * 3), window=window, n_nodes=length)
+    want = np.bincount(c.pairs.ravel(), minlength=length)
+    assert np.array_equal(c.node_freq, want)
+    assert want.max() == 6 * min(2 * window, length - 1)

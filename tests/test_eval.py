@@ -26,8 +26,8 @@ from hyperwalk.evaluation import (
     reconstruct,
     region_stats,
 )
-from hyperwalk.graph import GraphError, TypedGraph
-from hyperwalk.seeding import NONEDGES, substream
+from hyperwalk.graph import EdgeType, GraphError, TypedGraph
+from hyperwalk.seeding import NONEDGES, SPLITS, substream
 from hyperwalk.synthetic import dblp_shaped_graph, two_block_graph
 from hyperwalk.trainer import INIT_SCALE, EmbeddingTable, init_embeddings
 from tests.conftest import assert_same_graph, neighbors, random_points
@@ -632,13 +632,20 @@ def test_split_matches_reference_on_planted_graph():
 
 def tuple_rebuild(g, keep):
     """``edge_subgraph`` as first written in ``make_link_split``: g's nodes and
-    the kept edges, as (u, v, label) tuples, through ``TypedGraph``."""
+    the kept edges, as (u, v, label) tuples, through ``TypedGraph``; then the
+    edge types that are left renumbered in g's order, not first-seen order."""
     nodes = [(nid, g.node_types[t].label) for nid, t in zip(g.node_ids, g.node_type_of)]
     kept = [
         (u, v, g.edge_types[te].label)
         for (u, v), te in zip(g.edges[keep].tolist(), g.edge_type_of[keep].tolist())
     ]
-    return TypedGraph(nodes, kept)
+    h = TypedGraph(nodes, kept)
+    in_g = [g.edge_type(t.label).id for t in h.edge_types]
+    new_id = np.argsort(np.argsort(in_g))
+    h.edge_types = sorted((EdgeType(int(new_id[t.id]), t.endpoint_types, t.label)
+                           for t in h.edge_types), key=lambda t: t.id)
+    h.edge_type_of = new_id[h.edge_type_of]
+    return h
 
 
 @pytest.mark.parametrize("graph", ["planted", "bridged"])
@@ -665,6 +672,20 @@ def test_edge_subgraph_equals_the_tuple_rebuild(g, data):
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=g.n_edges, max_size=g.n_edges)),
                     dtype=bool)
     assert_same_graph(g.edge_subgraph(keep), tuple_rebuild(g, keep))
+
+
+def test_a_split_keeps_the_edge_type_ids_of_its_graph(split_graphs):
+    # at graph seed 11 the split removes the first edge, an A-P edge, so a
+    # P-V edge comes first among the kept ones
+    g = split_graphs["dblp"]
+    split = make_link_split(g, "A-P", 0.2, rng=substream(11, SPLITS))
+    tg = split.train_graph
+    assert g.edge_type_of[0] == g.edge_type("A-P").id
+    assert (split.removed_edges == g.edges[0]).all(axis=1).any()
+    assert tg.edge_types == g.edge_types
+    emb = init_embeddings(tg, 2, INIT_SCALE, np.random.default_rng(0))
+    report = reconstruct(tg, emb, g.edge_type("A-P"), max_neg=1000, rng=np.random.default_rng(0))
+    assert report.edge_type == "A-P" and report.n_pos == len(tg.edges_of_type("A-P")) == 22_995
 
 
 def component_removable(g, et, edges_t, order):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperwalk.graph import GraphError, TypedGraph, load_graph
+from hyperwalk.graph import GraphError, NodeType, TypedGraph, load_graph
 from tests.conftest import assert_same_graph, neighbors
 
 
@@ -146,6 +146,35 @@ def test_a_label_only_on_collapsed_duplicates_names_no_edge_type():
     assert g.edge_type_of.tolist() == [0, 1]
     with pytest.raises(GraphError, match="contradicts edge type 'y'"):  # still checked
         TypedGraph(nodes, [(0, 1), (1, 0, "y"), (0, 3, "y")])
+
+
+@pytest.mark.filterwarnings("ignore:collapsed")
+def test_an_edge_subgraph_keeps_its_graphs_edge_type_ids():
+    # Y is first named on the collapsed row b-a, so the parent numbers it
+    # before X, while the kept edges name X first
+    nodes = [("a", "A"), ("b", "B"), ("c", "C"), ("d", "A"), ("e", "B")]
+    g = TypedGraph(nodes, [(0, 1, "W"), (1, 0, "Y"), (3, 2, "X"), (3, 4, "Y")])
+    assert [t.label for t in g.edge_types] == ["W", "Y", "X"]
+    assert g.edge_type_of.tolist() == [0, 2, 1]
+    whole = g.edge_subgraph(np.ones(3, dtype=bool))
+    assert whole.edge_types == g.edge_types and whole.edge_type_of.tolist() == [0, 2, 1]
+    # W loses its only edge: it drops out, and Y and X keep their order
+    part = g.edge_subgraph(np.array([False, True, True]))
+    assert [(t.id, t.label) for t in part.edge_types] == [(0, "Y"), (1, "X")]
+    assert part.edge_type_of.tolist() == [1, 0]
+
+
+@pytest.mark.filterwarnings("ignore:collapsed")
+def test_a_type_object_must_be_one_of_the_graphs_own():
+    nodes = [("a", "A"), ("b", "B"), ("c", "C"), ("d", "A"), ("e", "B")]
+    g = TypedGraph(nodes, [(0, 1, "W"), (1, 0, "Y"), (3, 2, "X"), (3, 4, "Y")])
+    part = g.edge_subgraph(np.array([False, True, True]))
+    assert part.edge_type(part.edge_type("X")) == part.edge_type(1)
+    with pytest.raises(GraphError, match=r"EdgeType\(id=2, .*'X'\) is not one of this graph's edge"):
+        part.edge_type(g.edge_type("X"))  # id 2 in g, 1 in part
+    with pytest.raises(GraphError, match="not one of this graph's node types"):
+        g.node_type(NodeType(0, "B"))
+    assert g.node_type(g.node_type("B")).id == 1
 
 
 # --- reference builder ----------------------------------------------------

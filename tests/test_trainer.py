@@ -123,6 +123,58 @@ def test_feature_major_pair_terms_match_the_row_major_formula(d, batch):
     assert np.all(np.isfinite(grad_u[:, 0])) and np.all(np.isfinite(grad_w[:, 0, 0]))
 
 
+def plain_pair_terms(U, W):
+    """``_pair_terms`` as plain expressions, one new array per step: the
+    reference its in-place version must match bit for bit."""
+    inner = np.einsum("db,dbk->bk", U[:-1], W[:-1]) - U[-1][:, None] * W[-1]
+    a = np.clip(-inner, 1.0, None)
+    d = lorentz._arccosh(a)
+    s = -d * d
+    m = s.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.sum(np.exp(s - m), axis=1))
+    loss = lse - s[:, 0]
+    p = np.exp(s - lse[:, None])
+    coeff = -p
+    coeff[:, 0] += 1.0
+    small = d < 1e-7
+    safe = np.where(small, 1.0, d)
+    c = coeff * np.where(small, 2.0, 2.0 * safe / np.sinh(safe))
+    grad_u = -np.einsum("bk,dbk->db", c, W)
+    return loss, grad_u, -c
+
+
+def feature_major_batch(seed, batch, k, d=10):
+    """Feature-major anchors (d+1, batch) and candidates (d+1, batch, k), with
+    coincident pairs that take the d < 1e-7 branch."""
+    rng = np.random.default_rng(seed)
+    U = lorentz.normalize(rng.normal(size=(batch, d + 1))).T.copy()
+    W = lorentz.normalize(rng.normal(size=(batch * k, d + 1))).T.reshape(d + 1, batch, k).copy()
+    W[:, : batch // 7, 0] = U[:, : batch // 7]
+    W[:, -1, -1] = U[:, -1]
+    return U, W
+
+
+@pytest.mark.parametrize("batch, k", [(512, 21), (37, 6), (1, 1)])
+def test_pair_terms_equal_the_plain_expressions_bit_for_bit(batch, k):
+    U, W = feature_major_batch(batch * 100 + k, batch, k)
+    for got, want in zip(trainer._pair_terms(U, W), plain_pair_terms(U, W)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_pair_terms_hold_at_most_five_batch_arrays_at_once():
+    # B = 8192 pairs against K = 20 negatives plus the partner: the plain
+    # expressions peak at about nine (B, K + 1) float64 arrays, 12.2 MiB
+    batch, k = 8192, 21
+    U, W = feature_major_batch(0, batch, k)
+    tracemalloc.start()
+    try:
+        trainer._pair_terms(U, W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * batch * k * 8
+
+
 @pytest.mark.parametrize("d", [2, 3, 10])
 def test_update_kernels_agree_on_c_order_and_feature_major_views(d):
     # train hands lorentz (rows, n+1) transposed views of (n+1, rows) blocks

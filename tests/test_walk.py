@@ -2,6 +2,7 @@
 
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +108,58 @@ def test_step_on_a_dblp_paper_node_matches_the_exact_law():
     n = 400_000
     nodes, _ = draw_steps(g, paper, counts, n, seed=8)
     assert max_abs_z(dict(zip(*np.unique(nodes, return_counts=True))), n, dist) <= 3
+
+
+def reference_step(g, nodes, counts, rng):
+    """``walk.step`` as whole-array expressions: exp and cumsum over the
+    (T, walkers) weights, an absent type's weight exp(-inf), 2-D picks.
+    The step must draw the same nodes and counts from the same stream."""
+    n_types = counts.shape[1]
+    bounds = g.type_offsets[nodes * n_types + np.arange(n_types + 1)[:, None]]
+    sizes = np.diff(bounds, axis=0)
+    masked = np.where(sizes > 0, counts.T, np.inf)
+    cum = np.exp(masked.min(axis=0) - masked).cumsum(axis=0)
+    r = rng.random(len(nodes)) * cum[-1]
+    t = np.count_nonzero(cum <= r, axis=0)
+    walkers = np.arange(len(nodes))
+    counts[walkers, t] += 1
+    return g.adjacency[bounds[t, walkers] + rng.integers(sizes[t, walkers])]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])  # generate_walks keeps F-ordered counts
+def test_step_equals_the_reference_step_in_either_memory_order(order):
+    g = dblp_shaped_graph(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    nodes = rng.choice(np.flatnonzero(g.degrees() > 0), 5000)
+    counts = np.asarray(rng.integers(0, 40, size=(5000, len(g.node_types))), float, order=order)
+    want_counts = counts.copy(order="K")
+    got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+    got = step(g, nodes, counts, got_rng)
+    want = reference_step(g, nodes, want_counts, want_rng)
+    assert np.array_equal(got, want)
+    assert counts.flags[f"{order}_CONTIGUOUS"] and np.array_equal(counts, want_counts)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@st.composite
+def walk_graphs(draw):
+    """Up to 12 nodes of 1-4 types, isolated ones among them, and up to 30 edges."""
+    n_types = draw(st.integers(1, 4))
+    types = draw(st.lists(st.integers(0, n_types - 1), min_size=1, max_size=12))
+    n = len(types)
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in ends if u != v})
+    return TypedGraph([(f"n{i}", f"T{t}") for i, t in enumerate(types)], edges)
+
+
+@given(g=walk_graphs(), walks_per_node=st.integers(1, 3), walk_length=st.integers(2, 6),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_generate_walks_equals_walks_of_the_reference_step(g, walks_per_node, walk_length, seed):
+    cfg = WalkConfig(walks_per_node, walk_length, seed)
+    with mock.patch("hyperwalk.walk.step", reference_step):
+        want = generate_walks(g, cfg).matrix
+    assert np.array_equal(generate_walks(g, cfg).matrix, want)
 
 
 def two_step_law(g, s):
