@@ -2,13 +2,18 @@
 
 A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
-:func:`build_corpus` takes the pairs straight from the padded walk matrix
-of a :class:`~hyperwalk.walk.Walks`, one window offset at a time, into one
-preallocated pair array: about 9M pairs in 0.09 s from 1 x 40 walks on the
-DBLP-shaped graph. The pairs are node indices at the narrowest width the
-graph allows (:func:`index_dtype`): uint16, 4 bytes a pair, up to 65,536
-nodes, else int32, 8 bytes a pair. The trainer draws pair indices from
-them uniformly, with replacement, a batch at a time.
+:func:`build_corpus` reads the pairs off the padded walk matrix of a
+:class:`~hyperwalk.walk.Walks` and stores no pair array: the
+:class:`WalkCorpus` it returns holds the walk matrix, without a copy, and
+one int32 flat matrix index ("site") per kept forward pair, 2 bytes a pair
+at any node count, in the pair order (offset, direction, walk, position).
+``take(idx)`` decodes drawn pair indices into ``(idx.size, 2)`` node
+indices at the narrowest width the graph allows (:func:`index_dtype`,
+uint16 up to 65,536 nodes, else int32), and ``pairs`` builds the whole
+``(P, 2)`` array on demand. On the DBLP-shaped graph, 1 x 40 walks give
+about 9M pairs in 0.03-0.06 s. :class:`SampleCorpus` keeps an explicit
+``(P, 2)`` pair array with the same interface. The trainer draws pair
+indices uniformly, with replacement, a batch at a time.
 
 Training negatives are frequency-based noise: each is an independent draw
 from ``SampleCorpus.noise_table``, with probability proportional to a
@@ -73,38 +78,45 @@ class AliasTable:
 
 
 class SampleCorpus:
-    """Multiset of positive pairs plus the frequency table for negatives.
+    """Explicit multiset of positive pairs plus the frequency table for negatives.
 
     The pairs are stored as a ``(P, 2)`` array of ``index_dtype(n_nodes)``,
     4 bytes a pair up to 65,536 nodes and 8 above; an input of that dtype
     is kept without a copy. Every entry must be a node index in
     ``[0, n_nodes)`` and ``n_nodes`` must fit in int32, else ValueError.
+    :func:`build_corpus` returns a :class:`WalkCorpus`, which reads the same
+    interface off the walk matrix instead.
     """
 
-    def __init__(self, pairs: np.ndarray, n_nodes: int, _node_freq: np.ndarray | None = None):
+    def __init__(self, pairs: np.ndarray, n_nodes: int):
         pairs = np.asarray(pairs).reshape(-1, 2)
-        self.n_nodes = int(n_nodes)
-        if not 0 <= self.n_nodes <= INDEX_MAX:
-            raise ValueError(f"n_nodes must be in [0, {INDEX_MAX}], got {self.n_nodes}")
+        self.n_nodes = _checked_n_nodes(n_nodes)
         # checked before the narrowing cast, so an index past the dtype cannot wrap
         if pairs.size:
             lo, hi = int(pairs.min()), int(pairs.max())
             if lo < 0 or hi >= self.n_nodes:
                 bad = lo if lo < 0 else hi
                 raise ValueError(f"pair entry {bad} is not a node index in [0, {self.n_nodes})")
-        self.pairs = pairs.astype(index_dtype(self.n_nodes), copy=False)
-        self.node_freq = _node_freq  # build_corpus counts it from the walks
-        if _node_freq is None:
-            # bincount copies its input to int64, so count a chunk at a time; a
-            # chunk at least n_nodes long keeps the per-call counts from dominating
-            flat = self.pairs.ravel()
-            self.node_freq = np.zeros(self.n_nodes, dtype=np.int64)
-            chunk = max(FREQ_CHUNK, self.n_nodes)
-            for at in range(0, flat.size, chunk):
-                self.node_freq += np.bincount(flat[at : at + chunk], minlength=self.n_nodes)
+        self._pairs = pairs.astype(index_dtype(self.n_nodes), copy=False)
+        # bincount copies its input to int64, so count a chunk at a time; a
+        # chunk at least n_nodes long keeps the per-call counts from dominating
+        flat = self._pairs.ravel()
+        self.node_freq = np.zeros(self.n_nodes, dtype=np.int64)
+        chunk = max(FREQ_CHUNK, self.n_nodes)
+        for at in range(0, flat.size, chunk):
+            self.node_freq += np.bincount(flat[at : at + chunk], minlength=self.n_nodes)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The ``(P, 2)`` pair array, in the corpus's order."""
+        return self._pairs
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._pairs)
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The pairs at flat pair indices ``idx``: ``pairs[idx]``, shape ``(len(idx), 2)``."""
+        return self._pairs[idx]
 
     @cached_property
     def noise_table(self) -> AliasTable:
@@ -112,33 +124,108 @@ class SampleCorpus:
         return AliasTable(self.node_freq.astype(np.float64) ** NOISE_EXPONENT)
 
 
-def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
+class WalkCorpus(SampleCorpus):
+    """The window pairs of a walk matrix, read off the matrix rather than stored.
+
+    Holds the ``(W, L)`` walk matrix without a copy, one walk site a forward
+    pair and ``node_freq``. Pair indices run over 2 x len(offsets) blocks in
+    the order (offset, direction: forward then reverse, walk, position); the
+    sites of offset o are the flat matrix indices s of the kept centres, in
+    (walk, position) order, so the forward pair at s is
+    ``(m.flat[s], m.flat[s + o])`` and the reverse pair its swap. Sites are
+    int32, 2 bytes a pair at any node count (int64 past 2**31 matrix cells).
+    :func:`build_corpus` makes one.
+    """
+
+    def __init__(self, matrix: np.ndarray, offsets, counts, sites: np.ndarray,
+                 node_freq: np.ndarray, n_nodes: int):
+        self.n_nodes = n_nodes
+        self.matrix = matrix
+        self.sites = sites
+        self.node_freq = node_freq
+        # per pair block: its end in pair indices, then the shifts that take a
+        # pair index to its site index and a site to the pair's two entries
+        ends, site_shift, first, second = [], [], [], []
+        pair_at = site_at = 0
+        for o, n in zip(offsets, counts):
+            for first_o, second_o in ((0, o), (o, 0)):  # forward, reverse
+                ends.append(pair_at + n)
+                site_shift.append(site_at - pair_at)
+                first.append(first_o)
+                second.append(second_o)
+                pair_at += n
+            site_at += n
+        self.blocks = np.array([ends, site_shift, first, second], dtype=np.int64)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The ``(P, 2)`` pair array of ``index_dtype(n_nodes)``, built on each
+        call with two gathers per offset: nothing in training reads it."""
+        pairs = np.empty((len(self), 2), dtype=index_dtype(self.n_nodes))
+        start = 0
+        for end, shift, _, o in self.blocks[:, ::2].T.tolist():  # forward blocks
+            centre = self.sites[start + shift : end + shift]
+            n = end - start
+            pairs[start:end, 0] = pairs[end : end + n, 1] = np.take(self.matrix, centre)
+            pairs[start:end, 1] = pairs[end : end + n, 0] = np.take(self.matrix, centre + o)
+            start = end + n
+        return pairs
+
+    def __len__(self) -> int:
+        return 2 * len(self.sites)
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The pairs at flat pair indices ``idx``, as ``pairs[idx]`` would give
+        them: a search over the block ends, one gather into the sites and two
+        into the walk matrix."""
+        ends, site_shift, first, second = self.blocks
+        b = np.searchsorted(ends, idx, side="right")
+        s = np.take(self.sites, idx + np.take(site_shift, b))
+        out = np.empty((len(s), 2), dtype=index_dtype(self.n_nodes))
+        out[:, 0] = np.take(self.matrix, s + np.take(first, b))
+        out[:, 1] = np.take(self.matrix, s + np.take(second, b))
+        return out
+
+
+def _checked_n_nodes(n_nodes: int) -> int:
+    n_nodes = int(n_nodes)
+    if not 0 <= n_nodes <= INDEX_MAX:
+        raise ValueError(f"n_nodes must be in [0, {INDEX_MAX}], got {n_nodes}")
+    return n_nodes
+
+
+def build_corpus(walks, window: int, n_nodes: int) -> WalkCorpus:
     """Sliding-window pair extraction over all walks.
 
     ``walks`` is a :class:`~hyperwalk.walk.Walks`. For each walk position i,
     emits ordered pairs (v_i, v_j) for every j != i with |i - j| <= window;
     revisit self-pairs (v, v) are dropped. Pairs come in the order (offset
     j - i, direction: forward (v_i, v_j) then reverse (v_j, v_i), walk,
-    position i). Each offset's mask over the walk matrix is made twice:
-    a block of rows at a time, to count the pairs and the pairs each walk
-    position is in (so ``node_freq`` needs no pass over the pairs), and whole,
-    to write them into one preallocated ``(P, 2)`` array of
-    ``index_dtype(n_nodes)``, so one mask and one gathered column are held at
-    a time. A walk node outside ``[0, n_nodes)`` is a ValueError.
+    position i). The corpus keeps the walk matrix, without a copy, and
+    records one site, the flat matrix index of the centre v_i, per kept
+    forward pair (see :class:`WalkCorpus`); its ``pairs`` builds the pair
+    array on demand. The matrix is read twice, a block of rows at a time,
+    each offset's mask made per block: a count pass counts the pairs of each
+    offset and the pairs each walk position is in (so ``node_freq`` needs no
+    pass over the pairs), then a write pass writes each offset's sites into
+    one preallocated array. A walk node outside ``[0, n_nodes)`` is a
+    ValueError.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    m = walks.matrix
-    # checked on the int32 matrix, before the narrow pair array could wrap it
+    n_nodes = _checked_n_nodes(n_nodes)
+    m = np.ascontiguousarray(walks.matrix)  # sites index its flat layout
+    # checked on the int32 matrix, before a narrow pair array could wrap it
     top = int(m.max(initial=-1))
     if top >= n_nodes:
         raise ValueError(f"walk node {top} is not a node index in [0, {n_nodes})")
-    offsets = range(1, min(window, m.shape[1] - 1) + 1)  # offsets that fit in a row
-    # count pass, a block of rows at a time: each offset's kept pairs, and how
-    # many kept pairs each walk position is in, at most 2 * len(offsets)
+    length = m.shape[1]
+    offsets = range(1, min(window, length - 1) + 1)  # offsets that fit in a row
+    rows = max(1, max(FREQ_CHUNK, n_nodes) // max(length, 1))
+    # count pass: each offset's kept pairs, and how many kept pairs each
+    # walk position is in, at most 2 * len(offsets)
     counts = [0] * len(offsets)
     freq = np.zeros(n_nodes)  # float64 sums of integers: exact below 2**53
-    rows = max(1, max(FREQ_CHUNK, n_nodes) // max(m.shape[1], 1))
     for at in range(0, len(m), rows):
         block = m[at : at + rows]
         in_pairs = np.zeros(block.shape, dtype=np.min_scalar_type(2 * len(offsets)))
@@ -149,14 +236,23 @@ def build_corpus(walks, window: int, n_nodes: int) -> SampleCorpus:
             in_pairs[:, o:] += keep
         # padding is in no pair, so its weight 0 may fall on node 0
         freq += np.bincount(np.maximum(block, 0).ravel(), in_pairs.ravel(), minlength=n_nodes)
-    pairs = np.empty((2 * sum(counts), 2), dtype=index_dtype(n_nodes))
-    at = 0
-    for o, n in zip(offsets, counts):
-        keep = _keep(m, o)
-        for col, side in enumerate((m[:, :-o], m[:, o:])):
-            pairs[at : at + n, col] = pairs[at + n : at + 2 * n, 1 - col] = side[keep]
-        at += 2 * n
-    return SampleCorpus(pairs, n_nodes, 2 * freq.astype(np.int64))  # both directions
+    # write pass: within an offset's run of sites each block's kept centres
+    # follow the earlier blocks', so a block appends its flatnonzero, shifted
+    # to whole-matrix indices
+    sites = np.empty(sum(counts), dtype=np.int32 if m.size <= INDEX_MAX else np.int64)
+    run_at = np.cumsum([0] + counts[:-1])
+    mask = np.zeros((min(rows, len(m)), length), dtype=bool)
+    for at in range(0, len(m), rows):
+        block = m[at : at + rows]
+        centres = mask[: len(block)]
+        for k, o in enumerate(offsets):
+            centres[:, :-o] = _keep(block, o)
+            centres[:, -o:] = False
+            hits = np.flatnonzero(centres)
+            np.add(hits, at * length, out=sites[run_at[k] : run_at[k] + hits.size], casting="unsafe")
+            run_at[k] += hits.size
+    node_freq = 2 * freq.astype(np.int64)  # both directions
+    return WalkCorpus(m, offsets, counts, sites, node_freq, n_nodes)
 
 
 def _keep(m: np.ndarray, o: int) -> np.ndarray:

@@ -178,15 +178,18 @@ def train(
 ) -> tuple[EmbeddingTable, list[dict]]:
     """SGD over i.i.d. draws from the pair multiset; returns (table, epoch log).
 
-    An epoch is ``ceil(P / batch_size)`` batches over the corpus's P pairs
-    (uint16 or int32 node indices, see ``corpus.index_dtype``). Each batch
-    draws its pair indices uniformly, with replacement, from
+    An epoch is ``ceil(P / batch_size)`` batches over the corpus's P pairs.
+    Each batch draws its pair indices uniformly, with replacement, from
     ``substream(cfg.seed, PAIRS)``, the last batch only the remainder, so
     an epoch draws exactly P pairs: a one-epoch run leaves about 1/e of them
     unvisited and visits others more than once, and nothing ``train``
-    allocates grows with P. A batch writes its anchors, their partners and
-    the noise draws, widened to int64, into one index buffer that every
-    batch reuses. The epoch loop keeps the table feature-major, as one
+    allocates grows with P. One ``corpus.take`` call per batch decodes the
+    drawn indices into node pairs. A batch writes its anchors, their
+    partners and the noise draws, widened to int64, into one index buffer
+    that every batch reuses, and gathers its (dim + 1, B, K + 1) candidate
+    block into one reused buffer; a corpus over another node count than
+    ``g``'s is a ValueError, so these gathers clip rather than check
+    bounds. The epoch loop keeps the table feature-major, as one
     C-contiguous (dim + 1, n_nodes) array, and writes it back to the row-major
     ``table.coords`` once at the end. Each batch gathers (dim + 1, rows)
     blocks from it, so every per-row Minkowski sum and broadcast runs along
@@ -213,41 +216,51 @@ def train(
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
+    # every index a batch gathers is a corpus node or a noise draw over the
+    # corpus's nodes, so this check lets the gathers below skip their own
+    if corpus.n_nodes != g.n_nodes:
+        raise ValueError(f"corpus indexes {corpus.n_nodes} nodes, the graph has {g.n_nodes}")
     table = init_embeddings(g, dim, INIT_SCALE, seeding.substream(cfg.seed, seeding.INIT))
     coords = np.ascontiguousarray(table.coords.T)  # feature-major (dim + 1, n_nodes)
     neg_rng = seeding.substream(cfg.seed, seeding.NEGATIVES)
     pair_rng = seeding.substream(cfg.seed, seeding.PAIRS)
     k = cfg.negatives_per_positive
     noise = corpus.noise_table
-    pairs = corpus.pairs
+    n_pairs = len(corpus)
     # reused by every batch: seen marks the rows a batch touches (and is
     # cleared after), slot maps a touched node to its column in the batch's sums
     seen = np.zeros(g.n_nodes, dtype=bool)
     slot = np.empty(g.n_nodes, dtype=np.int64)
     # a batch's node indices and one coordinate's gradient weights, in the
     # order anchors, then each anchor's partner and noise draws
-    rows = min(cfg.batch_size, len(pairs)) * (k + 2)
-    index_buf = np.empty(rows, dtype=np.int64)
-    weight_buf = np.empty(rows)
+    batch = min(cfg.batch_size, n_pairs)
+    index_buf = np.empty(batch * (k + 2), dtype=np.int64)
+    weight_buf = np.empty(batch * (k + 2))
+    # the (dim + 1, B, K + 1) candidate block, 924 KiB at B = 512 and K = 20:
+    # allocated fresh, it can lie above malloc's mmap threshold, and then each
+    # batch maps it anew and faults on every page it writes
+    cand_buf = np.empty((dim + 1) * batch * (k + 1))
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         loss_sum = 0.0
         max_drift = 0.0
         collisions = 0
-        for b0 in range(0, len(pairs), cfg.batch_size):
-            idx = pair_rng.integers(len(pairs), size=min(cfg.batch_size, len(pairs) - b0))
+        for b0 in range(0, n_pairs, cfg.batch_size):
+            idx = pair_rng.integers(n_pairs, size=min(cfg.batch_size, n_pairs - b0))
             n = idx.size
             flat_idx = index_buf[: n * (k + 2)]
             u_idx, w_idx = flat_idx[:n], flat_idx[n:].reshape(n, k + 1)
-            u_idx[:] = pairs[idx, 0]
-            w_idx[:, 0] = pairs[idx, 1]
+            pairs = corpus.take(idx)
+            u_idx[:] = pairs[:, 0]
+            w_idx[:, 0] = pairs[:, 1]
             w_idx[:, 1:] = noise.sample(neg_rng, size=(n, k))
             negs = w_idx[:, 1:]
             hits = (negs == u_idx[:, None]) | (negs == w_idx[:, :1])
             collisions += int(np.count_nonzero(hits))
             U = np.take(coords, u_idx, axis=1)
-            W = np.take(coords, w_idx, axis=1)
+            W = cand_buf[: (dim + 1) * n * (k + 1)].reshape(dim + 1, n, k + 1)
+            np.take(coords, w_idx, axis=1, out=W, mode="clip")
             loss, grad_u, neg_c = _pair_terms(U, W)
             batch_loss = float(loss.sum())
             if not np.isfinite(batch_loss):
@@ -289,10 +302,10 @@ def train(
         history.append(
             {
                 "epoch": epoch,
-                "mean_loss": loss_sum / len(pairs),
+                "mean_loss": loss_sum / n_pairs,
                 "wall_time_s": time.perf_counter() - t0,
                 "max_manifold_drift": max_drift,
-                "noise_collision_share": collisions / (len(pairs) * k),
+                "noise_collision_share": collisions / (n_pairs * k),
             }
         )
     table.coords[...] = coords.T

@@ -1,11 +1,12 @@
 """Sliding-window pair corpus and the alias table for noise negatives."""
 
+import random
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperwalk.corpus import AliasTable, SampleCorpus, build_corpus, index_dtype
@@ -92,9 +93,10 @@ def test_build_corpus_rejects_a_walk_node_past_n_nodes():
         build_corpus(walks_of([[0, 65_536]]), window=1, n_nodes=65_536)
 
 
-def test_corpus_build_traces_at_most_5_bytes_a_pair():
-    # uint16 pairs are 4 bytes a pair; the rest is mostly one offset's
-    # gathered int32 column and its masks. int32 pairs would be 8.
+def test_corpus_build_traces_at_most_2_5_bytes_a_pair():
+    # one site a forward pair, int32, is 2 bytes a pair at any node count;
+    # the rest is mostly a block's masks and flatnonzero. A uint16 pair
+    # array would be 4 bytes a pair, an int32 one 8.
     g = two_block_graph(np.random.default_rng(0))
     walks = generate_walks(g, WalkConfig(walks_per_node=10, walk_length=80, seed=0))
     tracemalloc.start()
@@ -104,11 +106,11 @@ def test_corpus_build_traces_at_most_5_bytes_a_pair():
     finally:
         tracemalloc.stop()
     assert len(c) > 4_000_000
-    assert c.pairs.dtype == np.uint16
-    assert peak / len(c) <= 5
+    assert c.sites.dtype == np.int32 and c.pairs.dtype == np.uint16
+    assert c.matrix is walks.matrix  # held without a copy
+    assert peak / len(c) <= 2.5
     # node_freq counted from the walk matrix, over several blocks of rows
     assert np.array_equal(c.node_freq, np.bincount(c.pairs.ravel(), minlength=g.n_nodes))
-
 
 
 def in_block_coverage(g, corpus):
@@ -213,14 +215,36 @@ def reference_build_corpus(walks, window: int) -> np.ndarray:
 walk_sets = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), max_size=8)
 
 
-@given(walks=walk_sets, window=st.integers(1, 14))
+@given(walks=walk_sets, window=st.integers(1, 14), order=st.randoms(use_true_random=False))
+@example(walks=[], window=3, order=random.Random(0))
+@example(walks=[[2]], window=1, order=random.Random(0))  # walk length 1
+@example(walks=[[0, 1, 0, 1, 1], [3, 4], [2]], window=9, order=random.Random(0))
 @settings(max_examples=200, deadline=None)
-def test_build_corpus_matches_the_per_walk_reference(walks, window):
+def test_build_corpus_matches_the_per_walk_reference(walks, window, order):
+    # the last example pads short walks, reaches past every walk and holds
+    # revisit self-pairs at offsets 1 and 2
     c = build_corpus(walks_of(walks), window=window, n_nodes=5)
     want = reference_build_corpus(walks, window)
     assert c.pairs.dtype == index_dtype(5) == np.uint16
     assert np.array_equal(c.pairs, want)
     assert np.array_equal(c.node_freq, np.bincount(want.ravel(), minlength=5))
+    # take decodes any draw of pair indices, repeats included, as pairs[idx]
+    idx = np.array([order.randrange(len(want)) for _ in range(2 * len(want))], dtype=np.int64)
+    got = c.take(idx)
+    assert got.dtype == np.uint16 and got.shape == (idx.size, 2)
+    assert np.array_equal(got, want[idx])
+
+
+def test_sites_widen_to_int64_past_int32_matrix_cells():
+    # at INDEX_MAX = 6, a 3 x 3 walk matrix has more cells than int32 sites
+    # would index here
+    walks = [[0, 1, 2], [2, 1], [1, 2, 0]]
+    with mock.patch("hyperwalk.corpus.INDEX_MAX", 6):
+        c = build_corpus(walks_of(walks), window=2, n_nodes=3)
+    want = reference_build_corpus(walks, 2)
+    assert c.sites.dtype == np.int64
+    assert np.array_equal(c.pairs, want)
+    assert np.array_equal(c.take(np.arange(len(want))[::-1]), want[::-1])
 
 
 @given(walks=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=80), max_size=6),

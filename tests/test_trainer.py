@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hyperwalk import lorentz, seeding, trainer
-from hyperwalk.corpus import AliasTable, build_corpus
+from hyperwalk.corpus import AliasTable, SampleCorpus, build_corpus
 from hyperwalk.graph import GraphError, TypedGraph, load_graph
 from hyperwalk.seeding import substream
 from hyperwalk.synthetic import dblp_shaped_graph, two_block_graph
@@ -457,6 +457,31 @@ def test_train_rejects_empty_corpus(triangle):
     corpus = build_corpus(walks_of([]), window=2, n_nodes=3)
     with pytest.raises(ValueError):
         train(triangle, corpus, TrainConfig(), dim=2)
+
+
+def test_train_rejects_a_corpus_over_another_node_count(triangle):
+    # train's gathers do no bounds check of their own: a corpus node past
+    # the graph would read a clipped row
+    corpus = build_corpus(walks_of([[0, 1, 3]]), window=2, n_nodes=4)
+    with pytest.raises(ValueError, match="corpus indexes 4 nodes, the graph has 3"):
+        train(triangle, corpus, TrainConfig(), dim=2)
+
+
+def test_explicit_and_walk_corpora_train_the_same():
+    # the walk corpus decodes each batch's draws off the walk matrix; the
+    # explicit one gathers rows of its materialised pairs
+    g = two_block_graph(np.random.default_rng(1))
+    walks = generate_walks(g, WalkConfig(walks_per_node=2, walk_length=10, seed=1))
+    corpus = build_corpus(walks, window=3, n_nodes=g.n_nodes)
+    explicit = SampleCorpus(corpus.pairs, g.n_nodes)
+    assert np.array_equal(explicit.node_freq, corpus.node_freq)
+    cfg = TrainConfig(batch_size=100, epochs=2, negatives_per_positive=4, seed=3)
+    assert len(corpus) % cfg.batch_size != 0  # a partial last batch
+    (t1, h1), (t2, h2) = (train(g, c, cfg, dim=3) for c in (corpus, explicit))
+    assert np.array_equal(t1.coords, t2.coords)
+    for a, b in zip(h1, h2, strict=True):
+        assert {key: a[key] for key in a if key != "wall_time_s"} == {
+            key: b[key] for key in b if key != "wall_time_s"}
 
 
 def test_training_pulls_linked_nodes_together():
