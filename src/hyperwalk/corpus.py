@@ -4,14 +4,15 @@ A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
 :func:`build_corpus` reads the pairs off the padded walk matrix of a
 :class:`~hyperwalk.walk.Walks` and stores no pair array: the
-:class:`WalkCorpus` it returns holds the walk matrix, without a copy, and
-one int32 flat matrix index ("site") per kept forward pair, 2 bytes a pair
-at any node count, in the pair order (offset, direction, walk, position).
+:class:`WalkCorpus` it returns holds the walk matrix, without a copy, the
+in-walk position of each kept forward pair's centre, one byte a forward
+pair for walks up to 256 long, and the index of each walk's first position
+per window offset, in the pair order (offset, direction, walk, position).
 ``take(idx)`` decodes drawn pair indices into ``(idx.size, 2)`` node
 indices at the narrowest width the graph allows (:func:`index_dtype`,
 uint16 up to 65,536 nodes, else int32), and ``pairs`` builds the whole
 ``(P, 2)`` array on demand. On the DBLP-shaped graph, 1 x 40 walks give
-about 9M pairs in 0.03-0.06 s. :class:`SampleCorpus` keeps an explicit
+about 9M pairs in 0.03-0.05 s. :class:`SampleCorpus` keeps an explicit
 ``(P, 2)`` pair array with the same interface. The trainer draws pair
 indices uniformly, with replacement, a batch at a time.
 
@@ -127,63 +128,88 @@ class SampleCorpus:
 class WalkCorpus(SampleCorpus):
     """The window pairs of a walk matrix, read off the matrix rather than stored.
 
-    Holds the ``(W, L)`` walk matrix without a copy, one walk site a forward
-    pair and ``node_freq``. Pair indices run over 2 x len(offsets) blocks in
-    the order (offset, direction: forward then reverse, walk, position); the
-    sites of offset o are the flat matrix indices s of the kept centres, in
-    (walk, position) order, so the forward pair at s is
-    ``(m.flat[s], m.flat[s + o])`` and the reverse pair its swap. Sites are
-    int32, 2 bytes a pair at any node count (int64 past 2**31 matrix cells).
-    :func:`build_corpus` makes one.
+    Holds the ``(W, L)`` walk matrix without a copy, ``node_freq``, and per
+    kept forward pair only its centre's position within its walk. Pair
+    indices run over 2 x len(offsets) blocks in the order (offset,
+    direction: forward then reverse, walk, position). Offset o's positions
+    fill the front of their own region of W x (L - o) slots of
+    ``positions``, in (walk, position) order, and ``starts`` holds, for each
+    (offset, walk), the index in ``positions`` of that walk's first one. The
+    forward pair whose position is ``positions[s]`` and whose walk w is the
+    last with ``starts`` at most s has centre site ``c = w * L +
+    positions[s]`` and is ``(m.flat[c], m.flat[c + o])``; the reverse pair
+    is its swap. Positions take ``np.min_scalar_type(L - 1)``, 1 byte a
+    forward pair up to walks of 256 (uint16 beyond), and starts are int32
+    (int64 past INDEX_MAX position slots). :func:`build_corpus` makes one.
     """
 
-    def __init__(self, matrix: np.ndarray, offsets, counts, sites: np.ndarray,
-                 node_freq: np.ndarray, n_nodes: int):
+    def __init__(self, matrix: np.ndarray, offsets, counts, regions, positions: np.ndarray,
+                 starts: np.ndarray, node_freq: np.ndarray, n_nodes: int):
         self.n_nodes = n_nodes
         self.matrix = matrix
-        self.sites = sites
+        self.positions = positions
+        self.starts = starts
         self.node_freq = node_freq
-        # per pair block: its end in pair indices, then the shifts that take a
-        # pair index to its site index and a site to the pair's two entries
-        ends, site_shift, first, second = [], [], [], []
-        pair_at = site_at = 0
-        for o, n in zip(offsets, counts):
+        # per offset: its kept forward pairs, and its region's first slot
+        self.offsets, self.counts, self.regions = list(offsets), list(counts), list(regions)
+        n_walks, length = matrix.shape
+        # per pair block: its end in pair indices, the shift that takes a pair
+        # index to its index in positions, then the shifts that take a walk's
+        # row in starts times L, plus a position, to the pair's two entries
+        ends, pos_shift, first, second = [], [], [], []
+        pair_at = 0
+        for k, (o, n, region) in enumerate(zip(self.offsets, self.counts, self.regions)):
+            row_shift = -k * n_walks * length  # offset k's rows in starts follow k x W others
             for first_o, second_o in ((0, o), (o, 0)):  # forward, reverse
                 ends.append(pair_at + n)
-                site_shift.append(site_at - pair_at)
-                first.append(first_o)
-                second.append(second_o)
+                pos_shift.append(region - pair_at)
+                first.append(row_shift + first_o)
+                second.append(row_shift + second_o)
                 pair_at += n
-            site_at += n
-        self.blocks = np.array([ends, site_shift, first, second], dtype=np.int64)
+        self.blocks = np.array([ends, pos_shift, first, second], dtype=np.int64)
 
     @property
     def pairs(self) -> np.ndarray:
         """The ``(P, 2)`` pair array of ``index_dtype(n_nodes)``, built on each
-        call with two gathers per offset: nothing in training reads it."""
+        call from the positions and starts of each offset: nothing in
+        training reads it."""
+        n_walks, length = self.matrix.shape
         pairs = np.empty((len(self), 2), dtype=index_dtype(self.n_nodes))
+        walk_sites = np.arange(n_walks) * length
         start = 0
-        for end, shift, _, o in self.blocks[:, ::2].T.tolist():  # forward blocks
-            centre = self.sites[start + shift : end + shift]
-            n = end - start
+        for k, (o, n, at) in enumerate(zip(self.offsets, self.counts, self.regions)):
+            first = self.starts[k * n_walks : (k + 1) * n_walks]
+            centre = np.repeat(walk_sites, np.diff(first, append=at + n))
+            centre += self.positions[at : at + n]
+            end = start + n
             pairs[start:end, 0] = pairs[end : end + n, 1] = np.take(self.matrix, centre)
             pairs[start:end, 1] = pairs[end : end + n, 0] = np.take(self.matrix, centre + o)
             start = end + n
         return pairs
 
     def __len__(self) -> int:
-        return 2 * len(self.sites)
+        return 2 * sum(self.counts)
 
     def take(self, idx: np.ndarray) -> np.ndarray:
         """The pairs at flat pair indices ``idx``, as ``pairs[idx]`` would give
-        them: a search over the block ends, one gather into the sites and two
-        into the walk matrix."""
-        ends, site_shift, first, second = self.blocks
+        them: a search over the block ends, a search over the walk starts and
+        a gather into the positions, then two gathers into the walk matrix.
+        The indices are decoded in ascending order, and the pairs written
+        back in the caller's order: a search's queries then ascend within
+        each block, so that each query finds the table rows the last one
+        read still in cache."""
+        order = np.argsort(idx)
+        idx = np.take(idx, order)
+        ends, pos_shift, first, second = self.blocks
         b = np.searchsorted(ends, idx, side="right")
-        s = np.take(self.sites, idx + np.take(site_shift, b))
+        s = idx + np.take(pos_shift, b)
+        # queries of the table's dtype: of another, searchsorted would cast
+        # the whole table on every call
+        row = np.searchsorted(self.starts, s.astype(self.starts.dtype, copy=False), side="right")
+        centre = (row - 1) * self.matrix.shape[1] + np.take(self.positions, s)
         out = np.empty((len(s), 2), dtype=index_dtype(self.n_nodes))
-        out[:, 0] = np.take(self.matrix, s + np.take(first, b))
-        out[:, 1] = np.take(self.matrix, s + np.take(second, b))
+        out[order, 0] = np.take(self.matrix, centre + np.take(first, b))
+        out[order, 1] = np.take(self.matrix, centre + np.take(second, b))
         return out
 
 
@@ -202,57 +228,55 @@ def build_corpus(walks, window: int, n_nodes: int) -> WalkCorpus:
     revisit self-pairs (v, v) are dropped. Pairs come in the order (offset
     j - i, direction: forward (v_i, v_j) then reverse (v_j, v_i), walk,
     position i). The corpus keeps the walk matrix, without a copy, and
-    records one site, the flat matrix index of the centre v_i, per kept
-    forward pair (see :class:`WalkCorpus`); its ``pairs`` builds the pair
-    array on demand. The matrix is read twice, a block of rows at a time,
-    each offset's mask made per block: a count pass counts the pairs of each
-    offset and the pairs each walk position is in (so ``node_freq`` needs no
-    pass over the pairs), then a write pass writes each offset's sites into
-    one preallocated array. A walk node outside ``[0, n_nodes)`` is a
-    ValueError.
+    records the in-walk position i of each kept forward pair's centre,
+    plus each walk's first kept centre per offset (see :class:`WalkCorpus`);
+    its ``pairs`` builds the pair array on demand. The matrix is read once,
+    a block of rows at a time, each offset's mask made per block: the mask
+    counts the offset's pairs and the pairs each walk position is in (so
+    ``node_freq`` needs no pass over the pairs), and writes the kept
+    centres' positions into the offset's region, which holds as many slots
+    as the offset has (walk, position) centres, kept or not. A walk node
+    outside ``[0, n_nodes)`` is a ValueError.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     n_nodes = _checked_n_nodes(n_nodes)
-    m = np.ascontiguousarray(walks.matrix)  # sites index its flat layout
+    m = np.ascontiguousarray(walks.matrix)  # centre sites index its flat layout
     # checked on the int32 matrix, before a narrow pair array could wrap it
     top = int(m.max(initial=-1))
     if top >= n_nodes:
         raise ValueError(f"walk node {top} is not a node index in [0, {n_nodes})")
-    length = m.shape[1]
+    n_walks, length = m.shape
     offsets = range(1, min(window, length - 1) + 1)  # offsets that fit in a row
     rows = max(1, max(FREQ_CHUNK, n_nodes) // max(length, 1))
-    # count pass: each offset's kept pairs, and how many kept pairs each
-    # walk position is in, at most 2 * len(offsets)
-    counts = [0] * len(offsets)
+    # offset k's region starts at region[k]; written[k] is its next free slot
+    region = np.cumsum([0] + [n_walks * (length - o) for o in offsets]).tolist()
+    written = region[:-1]
+    positions = np.empty(region[-1], dtype=np.min_scalar_type(max(length - 1, 0)))
+    starts = np.empty(len(offsets) * n_walks, dtype=np.int32 if region[-1] <= INDEX_MAX else np.int64)
     freq = np.zeros(n_nodes)  # float64 sums of integers: exact below 2**53
-    for at in range(0, len(m), rows):
+    cols = np.broadcast_to(np.arange(length, dtype=positions.dtype), (rows, length))
+    for at in range(0, n_walks, rows):
         block = m[at : at + rows]
+        # how many kept pairs each walk position is in, at most 2 * len(offsets)
         in_pairs = np.zeros(block.shape, dtype=np.min_scalar_type(2 * len(offsets)))
         for k, o in enumerate(offsets):
             keep = _keep(block, o)
-            counts[k] += int(np.count_nonzero(keep))
             in_pairs[:, :-o] += keep
             in_pairs[:, o:] += keep
+            # the block's walks' kept centres, summed by einsum about twice
+            # as fast as by count_nonzero, then their first ones' slots
+            walk_end = np.cumsum(np.einsum("ij->i", keep, dtype=np.int32))
+            first = starts[k * n_walks + at : k * n_walks + at + len(block)]
+            first[0] = written[k]
+            first[1:] = walk_end[:-1] + written[k]
+            positions[written[k] : written[k] + walk_end[-1]] = cols[: len(block), :-o][keep]
+            written[k] += int(walk_end[-1])
         # padding is in no pair, so its weight 0 may fall on node 0
         freq += np.bincount(np.maximum(block, 0).ravel(), in_pairs.ravel(), minlength=n_nodes)
-    # write pass: within an offset's run of sites each block's kept centres
-    # follow the earlier blocks', so a block appends its flatnonzero, shifted
-    # to whole-matrix indices
-    sites = np.empty(sum(counts), dtype=np.int32 if m.size <= INDEX_MAX else np.int64)
-    run_at = np.cumsum([0] + counts[:-1])
-    mask = np.zeros((min(rows, len(m)), length), dtype=bool)
-    for at in range(0, len(m), rows):
-        block = m[at : at + rows]
-        centres = mask[: len(block)]
-        for k, o in enumerate(offsets):
-            centres[:, :-o] = _keep(block, o)
-            centres[:, -o:] = False
-            hits = np.flatnonzero(centres)
-            np.add(hits, at * length, out=sites[run_at[k] : run_at[k] + hits.size], casting="unsafe")
-            run_at[k] += hits.size
+    counts = [w - r for w, r in zip(written, region)]
     node_freq = 2 * freq.astype(np.int64)  # both directions
-    return WalkCorpus(m, offsets, counts, sites, node_freq, n_nodes)
+    return WalkCorpus(m, offsets, counts, region[:-1], positions, starts, node_freq, n_nodes)
 
 
 def _keep(m: np.ndarray, o: int) -> np.ndarray:

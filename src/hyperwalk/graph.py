@@ -235,7 +235,10 @@ def _find_type(types: list, cls: type, kind: str, label_or_id):
             if t.label == label_or_id:
                 return t
         raise GraphError(f"unknown {kind} type {label_or_id!r}")
-    return types[int(label_or_id)]
+    i = int(label_or_id)
+    if not 0 <= i < len(types):  # a negative id would count from the end
+        raise GraphError(f"{kind} type id {i} is not in [0, {len(types)})")
+    return types[i]
 
 
 def _parse_tsv(path):

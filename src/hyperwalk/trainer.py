@@ -188,10 +188,11 @@ def train(
     partners and the noise draws, widened to int64, into one index buffer
     that every batch reuses, and gathers its (dim + 1, B, K + 1) candidate
     block into one reused buffer; a corpus over another node count than
-    ``g``'s is a ValueError, so these gathers clip rather than check
-    bounds. The epoch loop keeps the table feature-major, as one
-    C-contiguous (dim + 1, n_nodes) array, and writes it back to the row-major
-    ``table.coords`` once at the end. Each batch gathers (dim + 1, rows)
+    ``g``'s is a ValueError, so the gathers of the anchors, the candidates
+    and the touched rows clip rather than check bounds. The epoch loop
+    keeps the table feature-major, as one C-contiguous (dim + 1, n_nodes)
+    array, and writes it back to the row-major ``table.coords`` once at
+    the end. Each batch gathers (dim + 1, rows)
     blocks from it, so every per-row Minkowski sum and broadcast runs along
     the rows in contiguous memory, not across dim + 1 coordinates per row.
     Per batch, in this order: one draw of pair indices, one draw of fresh
@@ -258,7 +259,7 @@ def train(
             negs = w_idx[:, 1:]
             hits = (negs == u_idx[:, None]) | (negs == w_idx[:, :1])
             collisions += int(np.count_nonzero(hits))
-            U = np.take(coords, u_idx, axis=1)
+            U = np.take(coords, u_idx, axis=1, mode="clip")
             W = cand_buf[: (dim + 1) * n * (k + 1)].reshape(dim + 1, n, k + 1)
             np.take(coords, w_idx, axis=1, out=W, mode="clip")
             loss, grad_u, neg_c = _pair_terms(U, W)
@@ -284,7 +285,7 @@ def train(
                 np.multiply(neg_c, U[j][:, None], out=weights[n:].reshape(n, k + 1))
                 acc[j] = np.bincount(flat_slot, weights=weights, minlength=touched.size)
             acc /= np.bincount(flat_slot, minlength=touched.size)
-            x = np.take(coords, touched, axis=1)
+            x = np.take(coords, touched, axis=1, mode="clip")
             # (touched, dim + 1) views: lorentz sees one point per row
             step = lorentz.project_to_tangent(x.T, -cfg.lr * acc.T)
             moved = lorentz.exp_map(x.T, step)

@@ -93,10 +93,11 @@ def test_build_corpus_rejects_a_walk_node_past_n_nodes():
         build_corpus(walks_of([[0, 65_536]]), window=1, n_nodes=65_536)
 
 
-def test_corpus_build_traces_at_most_2_5_bytes_a_pair():
-    # one site a forward pair, int32, is 2 bytes a pair at any node count;
-    # the rest is mostly a block's masks and flatnonzero. A uint16 pair
-    # array would be 4 bytes a pair, an int32 one 8.
+def test_corpus_build_traces_at_most_1_25_bytes_a_pair():
+    # one uint8 position a forward pair is half a byte a pair; the slots of
+    # dropped centres, the walk starts and a block's masks add the rest. The
+    # int32 sites of a flat matrix index a pair took 2 bytes a pair, a
+    # uint16 pair array 4, an int32 one 8.
     g = two_block_graph(np.random.default_rng(0))
     walks = generate_walks(g, WalkConfig(walks_per_node=10, walk_length=80, seed=0))
     tracemalloc.start()
@@ -106,9 +107,10 @@ def test_corpus_build_traces_at_most_2_5_bytes_a_pair():
     finally:
         tracemalloc.stop()
     assert len(c) > 4_000_000
-    assert c.sites.dtype == np.int32 and c.pairs.dtype == np.uint16
+    assert c.positions.dtype == np.uint8 and c.starts.dtype == np.int32
+    assert c.pairs.dtype == np.uint16
     assert c.matrix is walks.matrix  # held without a copy
-    assert peak / len(c) <= 2.5
+    assert peak / len(c) <= 1.25
     # node_freq counted from the walk matrix, over several blocks of rows
     assert np.array_equal(c.node_freq, np.bincount(c.pairs.ravel(), minlength=g.n_nodes))
 
@@ -235,16 +237,41 @@ def test_build_corpus_matches_the_per_walk_reference(walks, window, order):
     assert np.array_equal(got, want[idx])
 
 
-def test_sites_widen_to_int64_past_int32_matrix_cells():
-    # at INDEX_MAX = 6, a 3 x 3 walk matrix has more cells than int32 sites
-    # would index here
+@pytest.mark.parametrize("index_max, dtype", [(8, np.int64), (9, np.int32)])
+def test_starts_widen_to_int64_past_int32_position_slots(index_max, dtype):
+    # offsets 1 and 2 of a 3 x 3 walk matrix take 3 x 2 + 3 x 1 = 9 position
+    # slots: past an INDEX_MAX of 8, int32 starts would not index them all
     walks = [[0, 1, 2], [2, 1], [1, 2, 0]]
-    with mock.patch("hyperwalk.corpus.INDEX_MAX", 6):
+    with mock.patch("hyperwalk.corpus.INDEX_MAX", index_max):
         c = build_corpus(walks_of(walks), window=2, n_nodes=3)
     want = reference_build_corpus(walks, 2)
-    assert c.sites.dtype == np.int64
+    assert c.positions.size == 9 and c.starts.dtype == dtype
     assert np.array_equal(c.pairs, want)
     assert np.array_equal(c.take(np.arange(len(want))[::-1]), want[::-1])
+
+
+# walk lengths: empty rows (all padding), length-1 walks (a node without
+# neighbours), and lengths about 256, where positions widen from uint8 to uint16
+walk_sizes = st.lists(st.sampled_from([0, 0, 1, 1, 2, 7, 255, 256, 257, 300]), max_size=10)
+
+
+@given(sizes=walk_sizes, window=st.sampled_from([1, 2, 5, 255, 256, 299, 300, 400]),
+       seed=st.integers(0, 2**32 - 1))
+@example(sizes=[0, 0, 0, 7, 0, 0, 1, 1, 1, 7], window=5, seed=0)  # runs of walks without pairs
+@example(sizes=[1, 256, 0], window=256, seed=1)  # the window reaches the walk length
+@example(sizes=[257, 0, 300], window=400, seed=2)  # uint16 positions, window past L
+@settings(max_examples=60, deadline=None)
+def test_take_and_pairs_match_the_reference_on_long_and_empty_walks(sizes, window, seed):
+    rng = np.random.default_rng(seed)
+    # five nodes, so revisit self-pairs drop about one centre in five
+    walks = [rng.integers(0, 5, size).tolist() for size in sizes]
+    c = build_corpus(walks_of(walks), window=window, n_nodes=5)
+    want = reference_build_corpus(walks, window)
+    length = max(sizes, default=0)
+    assert c.positions.dtype == (np.uint8 if length <= 256 else np.uint16)
+    assert np.array_equal(c.pairs, want)
+    idx = rng.integers(len(want), size=3 * len(want)) if len(want) else np.empty(0, np.int64)
+    assert np.array_equal(c.take(idx), want[idx])
 
 
 @given(walks=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=80), max_size=6),

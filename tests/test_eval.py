@@ -272,6 +272,27 @@ def test_reports_count_pairs_that_touch_an_isolated_node(rng):
     assert (rep.n_pos, rep.n_neg, rep.isolated_pairs) == (1, 2, 1)
 
 
+def test_isolated_pairs_are_counted_a_block_at_a_time(monkeypatch):
+    rng = np.random.default_rng(0)
+    isolated = rng.random(1_000) < 0.1
+    pairs = rng.integers(1_000, size=(300_003, 2)).astype(np.uint16)
+    want = int(isolated[pairs].any(axis=1).sum())
+    block = evaluation.BLOCK
+    tracemalloc.start()
+    try:
+        assert evaluation._isolated_pairs(isolated, pairs) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's (BLOCK, 2) mask and the gather's buffer of indices widened
+    # to intp, 85 KB; over all pairs at once, 900 KB
+    assert peak < 16 * block, f"counting peaked at {peak} bytes"
+    for size in (1, 7, 300_003, 400_000):
+        monkeypatch.setattr(evaluation, "BLOCK", size)
+        assert evaluation._isolated_pairs(isolated, pairs) == want
+    assert evaluation._isolated_pairs(isolated, pairs[:0]) == 0
+
+
 def a_p_reconstruct_peak():
     """tracemalloc peak of reconstruct("A-P") with 1M sampled non-edges on
     the DBLP-shaped graph of seed 5, untrained d=10 table."""

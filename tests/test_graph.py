@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperwalk.graph import GraphError, NodeType, TypedGraph, load_graph
+from hyperwalk.synthetic import two_block_graph
 from tests.conftest import assert_same_graph, neighbors
 
 
@@ -175,6 +176,17 @@ def test_a_type_object_must_be_one_of_the_graphs_own():
     with pytest.raises(GraphError, match="not one of this graph's node types"):
         g.node_type(NodeType(0, "B"))
     assert g.node_type(g.node_type("B")).id == 1
+
+
+@pytest.mark.parametrize("kind", ["node", "edge"])
+def test_a_type_id_outside_the_graphs_types_is_a_graph_error(kind):
+    g = two_block_graph(np.random.default_rng(0))
+    lookup, types = getattr(g, f"{kind}_type"), getattr(g, f"{kind}_types")
+    assert lookup(len(types) - 1) is types[-1] and lookup(np.int64(0)) is types[0]
+    # a negative id must not count from the end, nor one past it raise IndexError
+    for bad in (-1, len(types), 7):
+        with pytest.raises(GraphError, match=rf"{kind} type id {bad} is not in \[0, {len(types)}\)"):
+            lookup(bad)
 
 
 # --- reference builder ----------------------------------------------------
