@@ -1,45 +1,28 @@
-"""Positive-pair corpus and the frequency table for noise negatives.
+"""Positive-pair corpus and the alias sampler for noise negatives.
 
 A sliding window over each walk emits ordered pairs (center, context) in
 both directions, with multiplicities kept and self-pairs dropped.
 :func:`build_corpus` reads the pairs off the padded walk matrix of a
 :class:`~hyperwalk.walk.Walks` and stores no pair array: the
-:class:`WalkCorpus` it returns holds the walk matrix, without a copy, the
-in-walk position of each kept forward pair's centre, one byte a forward
-pair for walks up to 256 long, and the index of each walk's first position
-per window offset, in the pair order (offset, direction, walk, position).
-``take(idx)`` decodes drawn pair indices into ``(idx.size, 2)`` node
-indices at the narrowest width the graph allows (:func:`index_dtype`,
-uint16 up to 65,536 nodes, else int32), and ``pairs`` builds the whole
-``(P, 2)`` array on demand. On the DBLP-shaped graph, 1 x 40 walks give
-about 9M pairs in 0.03-0.05 s. :class:`SampleCorpus` keeps an explicit
-``(P, 2)`` pair array with the same interface. The trainer draws pair
-indices uniformly, with replacement, a batch at a time.
-
-Training negatives are frequency-based noise: each is an independent draw
-from ``SampleCorpus.noise_table``, with probability proportional to a
-node's occurrence frequency in the pair multiset raised to
-``NOISE_EXPONENT``. Nothing is rejected, so a negative may be one of the
-anchor's positives or the anchor itself.
+:class:`WalkCorpus` it returns holds the walk matrix and an index into it,
+laid out as its docstring describes. On the DBLP-shaped graph, 1 x 40 walks
+give about 9M pairs in 0.03-0.05 s. :class:`SampleCorpus` keeps an explicit
+``(P, 2)`` pair array. Both give ``len``, ``node_freq``, ``take(idx)``,
+which decodes drawn pair indices into ``(idx.size, 2)`` node indices at
+the narrowest width the graph allows (:func:`index_dtype`, uint16 up to
+65,536 nodes, else int32), and ``pairs``, the whole ``(P, 2)`` array. The
+trainer draws pair indices uniformly, with replacement, a batch at a time.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
-
-# Negatives are drawn in proportion to frequency**NOISE_EXPONENT, word2vec's
-# smoothed unigram noise (Mikolov et al. 2013). At 1.0 every node is a
-# negative in the same fixed ratio to its positive count, which cancels much
-# of the pull that places hubs near the disk center; 0.75 draws hubs
-# relatively less often.
-NOISE_EXPONENT = 0.75
 
 # most nodes a corpus indexes: pairs are at most int32
 INDEX_MAX = np.iinfo(np.int32).max
 # least pair entries or walk positions node_freq counts at a time: bincount's
-# int64 copy of a chunk takes 512 KB, or as much as the n_nodes-long counts it returns
+# int64 copy of a chunk takes 512 KB, or as much as the n_nodes-long counts it
+# returns; also the pair indices WalkCorpus.pairs decodes at a time
 FREQ_CHUNK = 1 << 16
 
 
@@ -79,7 +62,7 @@ class AliasTable:
 
 
 class SampleCorpus:
-    """Explicit multiset of positive pairs plus the frequency table for negatives.
+    """Explicit multiset of positive pairs and their nodes' frequencies.
 
     The pairs are stored as a ``(P, 2)`` array of ``index_dtype(n_nodes)``,
     4 bytes a pair up to 65,536 nodes and 8 above; an input of that dtype
@@ -119,87 +102,71 @@ class SampleCorpus:
         """The pairs at flat pair indices ``idx``: ``pairs[idx]``, shape ``(len(idx), 2)``."""
         return self._pairs[idx]
 
-    @cached_property
-    def noise_table(self) -> AliasTable:
-        """Noise draws in proportion to node_freq**NOISE_EXPONENT, built on first use."""
-        return AliasTable(self.node_freq.astype(np.float64) ** NOISE_EXPONENT)
 
-
-class WalkCorpus(SampleCorpus):
+class WalkCorpus:
     """The window pairs of a walk matrix, read off the matrix rather than stored.
 
     Holds the ``(W, L)`` walk matrix without a copy, ``node_freq``, and per
     kept forward pair only its centre's position within its walk. Pair
-    indices run over 2 x len(offsets) blocks in the order (offset,
-    direction: forward then reverse, walk, position). Offset o's positions
-    fill the front of their own region of W x (L - o) slots of
-    ``positions``, in (walk, position) order, and ``starts`` holds, for each
-    (offset, walk), the index in ``positions`` of that walk's first one. The
-    forward pair whose position is ``positions[s]`` and whose walk w is the
-    last with ``starts`` at most s has centre site ``c = w * L +
-    positions[s]`` and is ``(m.flat[c], m.flat[c + o])``; the reverse pair
-    is its swap. Positions take ``np.min_scalar_type(L - 1)``, 1 byte a
-    forward pair up to walks of 256 (uint16 beyond), and starts are int32
-    (int64 past INDEX_MAX position slots). :func:`build_corpus` makes one.
+    indices run over two blocks per window offset o, in ascending o,
+    forward then reverse, each in (walk, position) order. Offset o's
+    positions fill the front of their own region of W x (L - o) slots of
+    ``positions``, one slot per (walk, position) centre, kept or not, and
+    ``starts`` holds, for each (offset, walk), the index in ``positions`` of
+    that walk's first one. The forward pair whose position is ``positions[s]``
+    and whose walk w is the last with ``starts`` at most s has centre site
+    ``c = w * L + positions[s]`` and is ``(m.flat[c], m.flat[c + o])``; the
+    reverse pair is its swap. ``blocks`` holds four int64 rows, one column
+    per block: its end in pair indices, the shift that takes a pair index
+    to its index in ``positions``, then the shifts that take a walk's row in
+    ``starts`` times L, plus a position, to the pair's first and second
+    entries. Positions take ``np.min_scalar_type(L - 1)``, 1 byte a forward
+    pair up to walks of 256 (uint16 beyond), and starts are int32 (int64
+    past INDEX_MAX position slots). :func:`build_corpus` makes one.
     """
 
-    def __init__(self, matrix: np.ndarray, offsets, counts, regions, positions: np.ndarray,
-                 starts: np.ndarray, node_freq: np.ndarray, n_nodes: int):
+    def __init__(self, matrix: np.ndarray, positions: np.ndarray, starts: np.ndarray,
+                 blocks: np.ndarray, node_freq: np.ndarray, n_nodes: int):
         self.n_nodes = n_nodes
         self.matrix = matrix
         self.positions = positions
         self.starts = starts
+        self.blocks = blocks
         self.node_freq = node_freq
-        # per offset: its kept forward pairs, and its region's first slot
-        self.offsets, self.counts, self.regions = list(offsets), list(counts), list(regions)
-        n_walks, length = matrix.shape
-        # per pair block: its end in pair indices, the shift that takes a pair
-        # index to its index in positions, then the shifts that take a walk's
-        # row in starts times L, plus a position, to the pair's two entries
-        ends, pos_shift, first, second = [], [], [], []
-        pair_at = 0
-        for k, (o, n, region) in enumerate(zip(self.offsets, self.counts, self.regions)):
-            row_shift = -k * n_walks * length  # offset k's rows in starts follow k x W others
-            for first_o, second_o in ((0, o), (o, 0)):  # forward, reverse
-                ends.append(pair_at + n)
-                pos_shift.append(region - pair_at)
-                first.append(row_shift + first_o)
-                second.append(row_shift + second_o)
-                pair_at += n
-        self.blocks = np.array([ends, pos_shift, first, second], dtype=np.int64)
 
     @property
     def pairs(self) -> np.ndarray:
-        """The ``(P, 2)`` pair array of ``index_dtype(n_nodes)``, built on each
-        call from the positions and starts of each offset: nothing in
-        training reads it."""
-        n_walks, length = self.matrix.shape
+        """The ``(P, 2)`` pair array of ``index_dtype(n_nodes)``, decoded on
+        each call FREQ_CHUNK indices at a time: nothing in training reads it."""
         pairs = np.empty((len(self), 2), dtype=index_dtype(self.n_nodes))
-        walk_sites = np.arange(n_walks) * length
-        start = 0
-        for k, (o, n, at) in enumerate(zip(self.offsets, self.counts, self.regions)):
-            first = self.starts[k * n_walks : (k + 1) * n_walks]
-            centre = np.repeat(walk_sites, np.diff(first, append=at + n))
-            centre += self.positions[at : at + n]
-            end = start + n
-            pairs[start:end, 0] = pairs[end : end + n, 1] = np.take(self.matrix, centre)
-            pairs[start:end, 1] = pairs[end : end + n, 0] = np.take(self.matrix, centre + o)
-            start = end + n
+        for at in range(0, len(pairs), FREQ_CHUNK):
+            end = min(at + FREQ_CHUNK, len(pairs))
+            self._decode(np.arange(at, end), pairs, slice(at, end))
         return pairs
 
     def __len__(self) -> int:
-        return 2 * sum(self.counts)
+        return int(self.blocks[0, -1]) if self.blocks.shape[1] else 0
 
     def take(self, idx: np.ndarray) -> np.ndarray:
         """The pairs at flat pair indices ``idx``, as ``pairs[idx]`` would give
-        them: a search over the block ends, a search over the walk starts and
-        a gather into the positions, then two gathers into the walk matrix.
-        The indices are decoded in ascending order, and the pairs written
-        back in the caller's order: a search's queries then ascend within
-        each block, so that each query finds the table rows the last one
-        read still in cache."""
+        them, decoded as the class docstring describes. The indices are
+        decoded in ascending order, and the pairs written back in the
+        caller's order: a search's queries then ascend within each block,
+        so that each query finds the table rows the last one read still in
+        cache. An index outside ``[0, len(self))`` is an IndexError."""
         order = np.argsort(idx)
         idx = np.take(idx, order)
+        if idx.size and (idx[0] < 0 or idx[-1] >= len(self)):
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            raise IndexError(f"pair index {bad} is out of range for a corpus of {len(self)} pairs")
+        out = np.empty((len(idx), 2), dtype=index_dtype(self.n_nodes))
+        self._decode(idx, out, order)
+        return out
+
+    def _decode(self, idx: np.ndarray, out: np.ndarray, rows) -> None:
+        """Writes the pairs at ascending pair indices ``idx`` to ``out[rows]``:
+        a search over the block ends, a search over the walk starts and a
+        gather into the positions, then two gathers into the walk matrix."""
         ends, pos_shift, first, second = self.blocks
         b = np.searchsorted(ends, idx, side="right")
         s = idx + np.take(pos_shift, b)
@@ -207,10 +174,8 @@ class WalkCorpus(SampleCorpus):
         # the whole table on every call
         row = np.searchsorted(self.starts, s.astype(self.starts.dtype, copy=False), side="right")
         centre = (row - 1) * self.matrix.shape[1] + np.take(self.positions, s)
-        out = np.empty((len(s), 2), dtype=index_dtype(self.n_nodes))
-        out[order, 0] = np.take(self.matrix, centre + np.take(first, b))
-        out[order, 1] = np.take(self.matrix, centre + np.take(second, b))
-        return out
+        out[rows, 0] = np.take(self.matrix, centre + np.take(first, b))
+        out[rows, 1] = np.take(self.matrix, centre + np.take(second, b))
 
 
 def _checked_n_nodes(n_nodes: int) -> int:
@@ -225,18 +190,14 @@ def build_corpus(walks, window: int, n_nodes: int) -> WalkCorpus:
 
     ``walks`` is a :class:`~hyperwalk.walk.Walks`. For each walk position i,
     emits ordered pairs (v_i, v_j) for every j != i with |i - j| <= window;
-    revisit self-pairs (v, v) are dropped. Pairs come in the order (offset
-    j - i, direction: forward (v_i, v_j) then reverse (v_j, v_i), walk,
-    position i). The corpus keeps the walk matrix, without a copy, and
-    records the in-walk position i of each kept forward pair's centre,
-    plus each walk's first kept centre per offset (see :class:`WalkCorpus`);
-    its ``pairs`` builds the pair array on demand. The matrix is read once,
-    a block of rows at a time, each offset's mask made per block: the mask
-    counts the offset's pairs and the pairs each walk position is in (so
+    revisit self-pairs (v, v) are dropped. The :class:`WalkCorpus` returned
+    keeps the walk matrix, without a copy; its docstring gives the pairs'
+    order and the index that locates them. The matrix is read once, a block
+    of rows at a time, each offset's mask made per block: the mask counts
+    the offset's pairs and the pairs each walk position is in (so
     ``node_freq`` needs no pass over the pairs), and writes the kept
-    centres' positions into the offset's region, which holds as many slots
-    as the offset has (walk, position) centres, kept or not. A walk node
-    outside ``[0, n_nodes)`` is a ValueError.
+    centres' positions into the offset's region. A walk node outside
+    ``[0, n_nodes)`` is a ValueError.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -274,9 +235,18 @@ def build_corpus(walks, window: int, n_nodes: int) -> WalkCorpus:
             written[k] += int(walk_end[-1])
         # padding is in no pair, so its weight 0 may fall on node 0
         freq += np.bincount(np.maximum(block, 0).ravel(), in_pairs.ravel(), minlength=n_nodes)
-    counts = [w - r for w, r in zip(written, region)]
+    # per pair block (see WalkCorpus): its end, its shift into positions,
+    # then its first and second entries' shifts from a row of starts times L
+    blocks, pair_at = [], 0
+    for k, o in enumerate(offsets):
+        n = written[k] - region[k]
+        row_shift = -k * n_walks * length  # offset k's rows in starts follow k x W others
+        for first, second in ((0, o), (o, 0)):  # forward, reverse
+            blocks.append((pair_at + n, region[k] - pair_at, row_shift + first, row_shift + second))
+            pair_at += n
     node_freq = 2 * freq.astype(np.int64)  # both directions
-    return WalkCorpus(m, offsets, counts, region[:-1], positions, starts, node_freq, n_nodes)
+    blocks = np.array(blocks, dtype=np.int64).reshape(-1, 4).T.copy()  # a C-contiguous row each
+    return WalkCorpus(m, positions, starts, blocks, node_freq, n_nodes)
 
 
 def _keep(m: np.ndarray, o: int) -> np.ndarray:

@@ -12,7 +12,13 @@ sums and updates only the rows it touches, so its cost follows the batch
 size, not the number of nodes. A batch holds no (dim + 1, B, K) candidate
 gradient array: a candidate's gradient is its pair's anchor times one
 scalar, formed one coordinate at a time into a reused buffer as the
-per-node sums take it. Each epoch's log record carries
+per-node sums take it.
+
+Negatives are word2vec's smoothed unigram noise (Mikolov et al. 2013): each
+is an independent draw with probability proportional to a node's count in
+the pair multiset, ``corpus.node_freq``, raised to ``NOISE_EXPONENT``.
+Nothing is rejected, so a negative may be one of the anchor's positives or
+the anchor itself. Each epoch's log record carries
 ``max_manifold_drift``, the largest |<x,x>_M + 1| of an updated point before
 that re-normalization, and ``noise_collision_share``, the share of noise
 draws equal to the anchor or its positive partner.
@@ -26,11 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lorentz, seeding
-from .corpus import SampleCorpus
+from .corpus import AliasTable, SampleCorpus, WalkCorpus
 from .graph import GraphError, TypedGraph, _parse_tsv
 
 # half-width of the uniform spatial noise of the initial points around the origin
 INIT_SCALE = 1e-3
+# At 1.0 every node is a negative in the same fixed ratio to its positive
+# count, which cancels much of the pull that places hubs near the disk
+# center; 0.75 draws hubs relatively less often.
+NOISE_EXPONENT = 0.75
 
 
 class TrainingDiverged(RuntimeError):
@@ -52,6 +62,8 @@ class TrainConfig:
             raise ValueError("lr, batch_size, negatives must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 class EmbeddingTable:
@@ -174,7 +186,7 @@ def _pair_terms(U: np.ndarray, W: np.ndarray):
 
 
 def train(
-    g: TypedGraph, corpus: SampleCorpus, cfg: TrainConfig, dim: int
+    g: TypedGraph, corpus: SampleCorpus | WalkCorpus, cfg: TrainConfig, dim: int
 ) -> tuple[EmbeddingTable, list[dict]]:
     """SGD over i.i.d. draws from the pair multiset; returns (table, epoch log).
 
@@ -206,10 +218,8 @@ def train(
     exponential-map step per touched node, then re-normalization. The
     per-batch cost scales with the rows the batch touches, not with
     ``g.n_nodes``; only one scan of an n_nodes-long boolean mark is not.
-    Negatives are plain word2vec-style noise drawn from
-    ``corpus.noise_table``, i.e. in proportion to frequency**0.75: nothing
-    is rejected, so a negative may be one of the anchor's positives or the
-    anchor itself. Each epoch record holds ``epoch``, ``mean_loss`` (the
+    The noise sampler (see the module docstring) is built once per call.
+    Each epoch record holds ``epoch``, ``mean_loss`` (the
     loss summed over the epoch's P draws, divided by P), ``wall_time_s``,
     ``max_manifold_drift`` and ``noise_collision_share`` (the share of the
     epoch's noise draws that equal the anchor or its positive partner).
@@ -226,7 +236,7 @@ def train(
     neg_rng = seeding.substream(cfg.seed, seeding.NEGATIVES)
     pair_rng = seeding.substream(cfg.seed, seeding.PAIRS)
     k = cfg.negatives_per_positive
-    noise = corpus.noise_table
+    noise = AliasTable(corpus.node_freq ** NOISE_EXPONENT)
     n_pairs = len(corpus)
     # reused by every batch: seen marks the rows a batch touches (and is
     # cleared after), slot maps a touched node to its column in the batch's sums

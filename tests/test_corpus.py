@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hyperwalk.corpus import AliasTable, SampleCorpus, build_corpus, index_dtype
 from hyperwalk.graph import TypedGraph
 from hyperwalk.synthetic import two_block_graph
+from hyperwalk.trainer import NOISE_EXPONENT
 from hyperwalk.walk import WalkConfig, generate_walks
 from tests.conftest import walks_of
 
@@ -176,7 +177,7 @@ def test_empty_corpus_rejects_sampling():
     c = build_corpus(walks_of([]), window=5, n_nodes=3)
     assert len(c) == 0 and c.pairs.shape == (0, 2)
     with pytest.raises(ValueError):
-        c.noise_table  # all-zero noise weights
+        AliasTable(c.node_freq ** NOISE_EXPONENT)  # all-zero noise weights
 
 
 @given(seed=st.integers(0, 2**32 - 1), window=st.integers(1, 5))
@@ -256,22 +257,40 @@ walk_sizes = st.lists(st.sampled_from([0, 0, 1, 1, 2, 7, 255, 256, 257, 300]), m
 
 
 @given(sizes=walk_sizes, window=st.sampled_from([1, 2, 5, 255, 256, 299, 300, 400]),
-       seed=st.integers(0, 2**32 - 1))
-@example(sizes=[0, 0, 0, 7, 0, 0, 1, 1, 1, 7], window=5, seed=0)  # runs of walks without pairs
-@example(sizes=[1, 256, 0], window=256, seed=1)  # the window reaches the walk length
-@example(sizes=[257, 0, 300], window=400, seed=2)  # uint16 positions, window past L
+       seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1, 3, 1 << 16]))
+@example(sizes=[0, 0, 0, 7, 0, 0, 1, 1, 1, 7], window=5, seed=0, chunk=3)  # runs of walks without pairs
+@example(sizes=[1, 256, 0], window=256, seed=1, chunk=1 << 16)  # the window reaches the walk length
+@example(sizes=[257, 0, 300], window=400, seed=2, chunk=1 << 16)  # uint16 positions, window past L
 @settings(max_examples=60, deadline=None)
-def test_take_and_pairs_match_the_reference_on_long_and_empty_walks(sizes, window, seed):
+def test_take_and_pairs_match_the_reference_on_long_and_empty_walks(sizes, window, seed, chunk):
     rng = np.random.default_rng(seed)
     # five nodes, so revisit self-pairs drop about one centre in five
     walks = [rng.integers(0, 5, size).tolist() for size in sizes]
-    c = build_corpus(walks_of(walks), window=window, n_nodes=5)
+    # a small FREQ_CHUNK decodes pairs in chunks that end inside and between blocks
+    with mock.patch("hyperwalk.corpus.FREQ_CHUNK", chunk):
+        c = build_corpus(walks_of(walks), window=window, n_nodes=5)
+        pairs = c.pairs
     want = reference_build_corpus(walks, window)
     length = max(sizes, default=0)
     assert c.positions.dtype == (np.uint8 if length <= 256 else np.uint16)
-    assert np.array_equal(c.pairs, want)
+    assert np.array_equal(pairs, want)
     idx = rng.integers(len(want), size=3 * len(want)) if len(want) else np.empty(0, np.int64)
     assert np.array_equal(c.take(idx), want[idx])
+
+
+def test_take_rejects_indices_outside_the_corpus():
+    # -1 must not decode as a pair of the first block, nor len(c) read past
+    # the block table; pairs[-1] is (0, 2), the last reverse pair
+    c = build_corpus(walks_of([[0, 1, 2, 1, 0], [2, 0]]), window=2, n_nodes=3)
+    assert len(c) == 14 and c.pairs[-1].tolist() == [0, 2]
+    for bad in (-1, len(c)):
+        with pytest.raises(IndexError, match=rf"pair index {bad} is out of range .* 14 pairs"):
+            c.take(np.array([3, bad, 0]))
+    assert c.take(np.empty(0, dtype=np.int64)).shape == (0, 2)
+    empty = build_corpus(walks_of([]), window=2, n_nodes=3)
+    assert empty.take(np.empty(0, dtype=np.int64)).shape == (0, 2)
+    with pytest.raises(IndexError, match="pair index 0 is out of range .* 0 pairs"):
+        empty.take(np.array([0]))
 
 
 @given(walks=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=80), max_size=6),

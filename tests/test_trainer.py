@@ -590,6 +590,7 @@ def dense_scatter_train(g, corpus, cfg, dim):
     neg_rng = substream(cfg.seed, seeding.NEGATIVES)
     pair_rng = substream(cfg.seed, seeding.PAIRS)
     k = cfg.negatives_per_positive
+    noise = AliasTable(corpus.node_freq ** trainer.NOISE_EXPONENT)
     pairs = corpus.pairs
     history = []
     for epoch in range(cfg.epochs):
@@ -600,7 +601,7 @@ def dense_scatter_train(g, corpus, cfg, dim):
             idx = pair_rng.integers(len(pairs), size=min(cfg.batch_size, len(pairs) - b0))
             u_idx = pairs[idx, 0]
             v_idx = pairs[idx, 1]
-            negs = corpus.noise_table.sample(neg_rng, size=(idx.size, k))
+            negs = noise.sample(neg_rng, size=(idx.size, k))
             for u, v, row in zip(u_idx, v_idx, negs):
                 collisions += sum(n in (u, v) for n in row)
             w_idx = np.concatenate([v_idx[:, None], negs], axis=1)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hyperwalk.graph import TypedGraph
 from hyperwalk.synthetic import dblp_shaped_graph
+from hyperwalk.trainer import TrainConfig
 from hyperwalk.walk import WalkConfig, dump_walks, generate_walks, step
 from tests.conftest import exact_step_law, law_of_step, neighbors, walks_of
 
@@ -235,6 +236,20 @@ def test_walk_config_validation():
         WalkConfig(walk_length=1)
     with pytest.raises(ValueError):
         WalkConfig(walks_per_node=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed must be non-negative"),
+    ("lr", 0.0, "lr, batch_size, negatives must be positive"),
+    ("lr", float("nan"), "lr must be finite"),
+    ("batch_size", 0, "lr, batch_size, negatives must be positive"),
+    ("negatives_per_positive", 0, "lr, batch_size, negatives must be positive"),
+    ("epochs", -1, "epochs must be >= 0"),
+])
+def test_train_config_validation(field, value, message):
+    # rejected at construction, as WalkConfig's fields are, not inside train
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
 
 
 def test_dump_walks_uses_external_ids(tiny_hetero, tmp_path):
